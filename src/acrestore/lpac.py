@@ -1,5 +1,6 @@
-"""Cold-start linear-programming approximation of the OPF, with an
-embedded dense simplex solver.
+"""Cold-start linear-programming approximation of the OPF, solved by the
+HiGHS dual simplex that ships with scipy, with an optimality certificate
+checked on the original LP.
 
 The model works in voltage-deviation coordinates (v = vm - 1), linearizes
 the flow equations around the flat point, represents cos(angle difference)
@@ -15,19 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .acpf import MeasurementSet, canonical_kinds
 from .netmodel import Network
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 LE, GE, EQ = "<=", ">=", "=="
 
 _FEAS_TOL = 1e-9
-_PIVOT_TOL = 1e-9
-# minimum acceptable pivot magnitude on the (equilibrated) tableau; smaller
-# entries make ratio-test rows ineligible to protect basis conditioning
-_RATIO_TOL = 1e-7
 
 
 class SimplexError(RuntimeError):
@@ -120,288 +121,171 @@ def write_lp_text(lp: LinearProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# standard form and the tableau simplex
+# matrix form, HiGHS solve and the optimality certificate
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StandardForm:
-    """min c'x, A x = b, x >= 0, with the map back to original variables.
+@dataclass(frozen=True)
+class MatrixForm:
+    """The LP as arrays: min c'x, row_lo <= A x <= row_hi, lower <= x <= upper.
 
-    var_map[j] = (offset, [(column, sign), ...]) reconstructs original
-    variable j from standard-form columns. Rows are equilibrated; b >= 0.
+    a_mat is the m x n CSR matrix of the rows in their original order; the
+    side a row's sense leaves open is an infinite bound.
     """
 
-    a_mat: np.ndarray
-    b_vec: np.ndarray
+    a_mat: sp.csr_array
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     c_vec: np.ndarray
-    var_map: list
-    n_structural: int
+    lower: np.ndarray
+    upper: np.ndarray
 
 
-def to_standard_form(lp: LinearProgram) -> StandardForm:
-    c_list: list[float] = []
-    var_map = []
-    n_rows = lp.n_row
-    extra_rows = []  # (column, cap) for two-sided bounds
+def matrix_form(lp: LinearProgram) -> MatrixForm:
+    """Collect the rows into one CSR matrix and the bounds into vectors."""
+    import scipy.sparse as sp
 
-    dense_rows = np.zeros((n_rows, lp.n_var))
-    rhs = np.zeros(n_rows)
-    senses = []
-    for i, (coeffs, sense, b, _name) in enumerate(lp.rows):
-        for j, val in coeffs.items():
-            dense_rows[i, j] += val
-        rhs[i] = b
-        senses.append(sense)
-
-    col_of_var = []  # structural columns created per original variable
-    for j in range(lp.n_var):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo == hi:
-            var_map.append((lo, []))
-            col_of_var.append(())
-            continue
-        if math.isinf(lo) and math.isinf(hi):
-            cp = len(c_list)
-            c_list += [lp.objective[j], -lp.objective[j]]
-            var_map.append((0.0, [(cp, 1.0), (cp + 1, -1.0)]))
-            col_of_var.append(((cp, 1.0), (cp + 1, -1.0)))
-        elif math.isinf(hi):
-            cp = len(c_list)
-            c_list.append(lp.objective[j])
-            var_map.append((lo, [(cp, 1.0)]))
-            col_of_var.append(((cp, 1.0),))
-        elif math.isinf(lo):
-            cp = len(c_list)
-            c_list.append(-lp.objective[j])
-            var_map.append((hi, [(cp, -1.0)]))
-            col_of_var.append(((cp, -1.0),))
-        else:
-            cp = len(c_list)
-            c_list.append(lp.objective[j])
-            var_map.append((lo, [(cp, 1.0)]))
-            col_of_var.append(((cp, 1.0),))
-            extra_rows.append((cp, hi - lo))
-
-    n_struct = len(c_list)
-    total_rows = n_rows + len(extra_rows)
-    a_mat = np.zeros((total_rows, n_struct))
-    b_vec = np.zeros(total_rows)
-
-    for i in range(n_rows):
-        shift = 0.0
-        for j in range(lp.n_var):
-            coef = dense_rows[i, j]
-            if coef == 0.0:
-                continue
-            offset, cols = var_map[j][0], col_of_var[j]
-            shift += coef * offset
-            for col, sign in cols:
-                a_mat[i, col] += coef * sign
-        b_vec[i] = rhs[i] - shift
-    for k, (col, cap) in enumerate(extra_rows):
-        a_mat[n_rows + k, col] = 1.0
-        b_vec[n_rows + k] = cap
-        senses.append(LE)
-
-    # one slack/surplus column per inequality row
-    slack_cols = []
-    for i, sense in enumerate(senses):
-        if sense == EQ:
-            slack_cols.append(None)
-        else:
-            slack_cols.append((i, 1.0 if sense == LE else -1.0))
-    n_slack = sum(1 for s in slack_cols if s is not None)
-    full = np.zeros((total_rows, n_struct + n_slack))
-    full[:, :n_struct] = a_mat
-    pos = n_struct
-    for entry in slack_cols:
-        if entry is None:
-            continue
-        i, sign = entry
-        full[i, pos] = sign
-        pos += 1
-    c_vec = np.concatenate([np.array(c_list), np.zeros(n_slack)])
-
-    # row equilibration, then sign normalization so b >= 0
-    scale = np.abs(full).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    full /= scale[:, None]
-    b_vec = b_vec / scale
-    flip = b_vec < 0
-    full[flip] *= -1.0
-    b_vec[flip] *= -1.0
-
-    return StandardForm(full, b_vec, c_vec, var_map, n_struct)
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    row_lo = np.full(lp.n_row, -np.inf)
+    row_hi = np.full(lp.n_row, np.inf)
+    for i, (coeffs, sense, rhs, _name) in enumerate(lp.rows):
+        indices.extend(coeffs)
+        data.extend(coeffs.values())
+        indptr.append(len(indices))
+        if sense != LE:
+            row_lo[i] = rhs
+        if sense != GE:
+            row_hi[i] = rhs
+    a_mat = sp.csr_array(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int64), np.array(indptr)),
+        shape=(lp.n_row, lp.n_var),
+    )
+    return MatrixForm(
+        a_mat, row_lo, row_hi,
+        np.array(lp.objective, dtype=float),
+        np.array(lp.lower, dtype=float),
+        np.array(lp.upper, dtype=float),
+    )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimplexResult:
     x: np.ndarray  # original variable values
     objective: float
-    x_std: np.ndarray
-    basis: np.ndarray
-    std: StandardForm
-    iterations: int
-    kept_rows: np.ndarray  # rows surviving redundancy elimination
+    duals: np.ndarray  # row multipliers y, reduced costs are c - A'y
+    iterations: int  # HiGHS simplex iterations
+    std: MatrixForm  # the LP as solved
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
-
-
-def _rebuild_tableau(a_mat, b_vec, costs, basis):
-    """Fresh tableau for a given basis; clears accumulated rounding error."""
-    basis_mat = a_mat[:, basis]
-    try:
-        body = np.linalg.solve(basis_mat, np.column_stack([a_mat, b_vec]))
-    except np.linalg.LinAlgError as exc:
-        raise SimplexError("singular basis during reinversion") from exc
-    tableau = np.empty((a_mat.shape[0] + 1, a_mat.shape[1] + 1))
-    tableau[:-1] = body
-    z_row = np.concatenate([costs, [0.0]])
-    z_row -= costs[basis] @ body
-    tableau[-1] = z_row
-    return tableau
-
-
-_REINVERT_EVERY = 250
-_STALL_LIMIT = 40
-
-
-def _iterate(tableau, basis, a_mat, b_vec, costs, max_iter):
-    """Pivot to optimality; returns (tableau, iteration count).
-
-    Uses Dantzig's most-negative-reduced-cost rule while the objective makes
-    progress and falls back to Bland's anti-cycling rule through degenerate
-    stretches; the tableau is reinverted periodically to shed rounding error.
-    """
-    n_cols = a_mat.shape[1]
-    stall = 0
-    last_obj = tableau[-1, -1]
-    for iteration in range(max_iter):
-        if iteration and iteration % _REINVERT_EVERY == 0:
-            tableau = _rebuild_tableau(a_mat, b_vec, costs, basis)
-        reduced = tableau[-1, :n_cols]
-        if stall < _STALL_LIMIT:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -_PIVOT_TOL:
-                return tableau, iteration
-        else:  # Bland: lowest-index improving column
-            candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-            if candidates.size == 0:
-                return tableau, iteration
-            col = int(candidates[0])
-        column = tableau[:-1, col]
-        rows = np.flatnonzero(column > _RATIO_TOL)
-        if rows.size == 0:
-            if np.all(column <= _PIVOT_TOL):
-                raise UnboundedError("objective unbounded below")
-            rows = np.flatnonzero(column > _PIVOT_TOL)
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        ties = rows[np.flatnonzero(ratios <= best + 1e-12)]
-        if stall < _STALL_LIMIT:
-            # break ties on the largest pivot element for stability
-            row = int(ties[np.argmax(column[ties])])
-        else:
-            # Bland: leave on the smallest basis index
-            row = int(ties[np.argmin(basis[ties])])
-        _pivot(tableau, basis, row, col)
-        obj = tableau[-1, -1]
-        stall = stall + 1 if obj >= last_obj - 1e-12 else 0
-        last_obj = obj
-    raise IterationLimitError(f"no optimum after {max_iter} pivots")
+_STATUS_ERRORS = {1: IterationLimitError, 2: InfeasibleError, 3: UnboundedError}
 
 
 def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
-    """Two-phase dense tableau simplex with Bland's anti-cycling rule.
+    """Solve with the HiGHS dual simplex shipped with scipy.
 
-    Returns an optimal basic solution mapped back to the original variable
-    space. Raises InfeasibleError, UnboundedError, or IterationLimitError.
+    Returns an optimal basic solution with its row duals. Raises
+    InfeasibleError, UnboundedError, IterationLimitError, or SimplexError
+    for any other solver outcome.
     """
-    std = to_standard_form(lp)
-    m, n = std.a_mat.shape
-    if max_iter is None:
-        max_iter = 20000 + 60 * (m + n)
+    # scipy.sparse and scipy.optimize are imported on the first solve: at
+    # module level they cost every process that never solves an LP ~0.3 s
+    # and ~20 MB
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
 
-    # phase 1: artificial basis, minimize the artificial sum
-    a_ext = np.hstack([std.a_mat, np.eye(m)])
-    costs_p1 = np.concatenate([np.zeros(n), np.ones(m)])
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = std.a_mat
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = std.b_vec
-    tableau[-1, :] = -tableau[:m, :].sum(axis=0)
-    tableau[-1, n : n + m] = 0.0
-    basis = np.arange(n, n + m)
+    form = matrix_form(lp)
+    eq = form.row_lo == form.row_hi
+    ineq = ~eq
+    # linprog takes A_ub x <= b_ub: >= rows enter negated
+    sign = np.where(np.isfinite(form.row_lo), -1.0, 1.0)[ineq]
+    a_ub = sp.diags(sign) @ form.a_mat[ineq]
+    b_ub = sign * np.where(sign < 0, form.row_lo[ineq], form.row_hi[ineq])
+    res = linprog(
+        form.c_vec,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=form.a_mat[eq],
+        b_eq=form.row_hi[eq],
+        bounds=np.column_stack([form.lower, form.upper]),
+        method="highs-ds",
+        options={} if max_iter is None else {"maxiter": max_iter},
+    )
+    if res.status != 0:
+        raise _STATUS_ERRORS.get(res.status, SimplexError)(res.message)
+    duals = np.empty(lp.n_row)
+    duals[ineq] = sign * res.ineqlin.marginals
+    duals[eq] = res.eqlin.marginals
+    return SimplexResult(res.x, float(form.c_vec @ res.x), duals, int(res.nit), form)
 
-    tableau, iters = _iterate(tableau, basis, a_ext, std.b_vec, costs_p1, max_iter)
-    if tableau[-1, -1] < -_FEAS_TOL * max(1.0, np.abs(std.b_vec).max()):
-        raise InfeasibleError(
-            f"phase-1 infeasibility {-tableau[-1, -1]:.3e}"
-        )
 
-    # drive leftover artificials out of the basis, dropping redundant rows
-    keep_rows = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] < n:
-            continue
-        pivot_cols = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
-        if pivot_cols.size:
-            _pivot(tableau, basis, i, int(pivot_cols[0]))
-        else:
-            keep_rows[i] = False
-    kept = np.flatnonzero(keep_rows)
-    a_mat = std.a_mat[kept]
-    b_vec = std.b_vec[kept]
-    basis = basis[keep_rows]
-    m = basis.size
+def _sign_margin(mult: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Smallest sign-adjusted multiplier; negative means the wrong sign.
 
-    # phase 2 on a fresh tableau built from the feasible basis
-    tableau = _rebuild_tableau(a_mat, b_vec, std.c_vec, basis)
-    tableau, more = _iterate(tableau, basis, a_mat, b_vec, std.c_vec, max_iter)
-    iters += more
+    A multiplier may only push against a finite bound: one with no upper
+    side must be >= 0, one with no lower side <= 0, a free one zero. Two
+    finite sides allow either sign.
+    """
+    margin = np.where(np.isinf(hi), mult, np.inf)
+    margin = np.where(np.isinf(lo), np.minimum(margin, -mult), margin)
+    return float(margin.min(initial=np.inf))
 
-    x_std = np.zeros(n)
-    x_std[basis] = tableau[:m, -1]
-    x_orig = np.empty(lp.n_var)
-    for j, (offset, cols) in enumerate(std.var_map):
-        x_orig[j] = offset + sum(sign * x_std[col] for col, sign in cols)
-    objective = float(np.array(lp.objective) @ x_orig)
-    return SimplexResult(x_orig, objective, x_std, basis.copy(), std, iters, kept)
+
+def _priced_at(mult: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: np.ndarray):
+    """The bound each multiplier's sign selects; the level itself where that
+    bound is infinite (a sign error there is reported by _sign_margin)."""
+    bound = np.where(mult > 0, lo, hi)
+    return np.where(np.isfinite(bound), bound, level)
 
 
 def verify_certificates(result: SimplexResult, tol: float = _FEAS_TOL) -> dict:
-    """Independent optimality check of a simplex result.
+    """Optimality check of a solution on the original LP.
 
-    Recomputes the basic solution and the duals from the returned basis with
-    fresh dense factorizations and checks primal feasibility (on all rows,
-    including any dropped as redundant), nonnegativity, and reduced-cost
-    nonnegativity on the solved standard form.
+    Uses only x, the row duals y and the LP, never the solver's status:
+    - primal_residual: worst row violation, each row divided by its largest
+      |coefficient|;
+    - bound_violation: worst variable-bound violation;
+    - min_row_dual: smallest sign-adjusted row dual (y on >= rows, -y on <=
+      rows);
+    - min_reduced_cost: the same for the reduced costs d = c - A'y, so a free
+      column counts -|d|; a column with two finite bounds may price either way;
+    - gap: |c'x - dual objective| / max(1, |c'x|), the dual objective pricing
+      each row and column at the bound its multiplier's sign selects.
+    Feasibility on both sides with a zero gap implies complementary slackness,
+    hence optimality. Each measure is held to tol.
     """
-    std, basis, kept = result.std, result.basis, result.kept_rows
-    a_kept, b_kept = std.a_mat[kept], std.b_vec[kept]
-    c_vec = std.c_vec
-    basis_mat = a_kept[:, basis]
-    x_basic = np.linalg.solve(basis_mat, b_kept)
-    x = np.zeros(std.a_mat.shape[1])
-    x[basis] = x_basic
-    primal_residual = float(np.abs(std.a_mat @ x - std.b_vec).max())
-    min_x = float(x.min())
-    duals = np.linalg.solve(basis_mat.T, c_vec[basis])
-    reduced = c_vec - a_kept.T @ duals
-    min_reduced = float(reduced.min())
-    ok = primal_residual <= tol and min_x >= -tol and min_reduced >= -tol
+    form, x, y = result.std, result.x, result.duals
+    ax = form.a_mat @ x
+    scale = abs(form.a_mat).max(axis=1).toarray().ravel()
+    scale[scale == 0.0] = 1.0
+    row_excess = np.maximum(form.row_lo - ax, ax - form.row_hi) / scale
+    primal_residual = float(np.max(row_excess, initial=0.0))
+    bound_excess = np.maximum(form.lower - x, x - form.upper)
+    bound_violation = float(np.max(bound_excess, initial=0.0))
+    reduced = form.c_vec - form.a_mat.T @ y
+    min_row_dual = _sign_margin(y, form.row_lo, form.row_hi)
+    min_reduced = _sign_margin(reduced, form.lower, form.upper)
+    primal = float(form.c_vec @ x)
+    dual = float(
+        y @ _priced_at(y, form.row_lo, form.row_hi, ax)
+        + reduced @ _priced_at(reduced, form.lower, form.upper, x)
+    )
+    gap = abs(primal - dual) / max(1.0, abs(primal))
+    ok = (
+        primal_residual <= tol
+        and bound_violation <= tol
+        and min_row_dual >= -tol
+        and min_reduced >= -tol
+        and gap <= tol
+    )
     return {
         "ok": bool(ok),
         "primal_residual": primal_residual,
-        "min_variable": min_x,
+        "bound_violation": bound_violation,
+        "min_row_dual": min_row_dual,
         "min_reduced_cost": min_reduced,
+        "gap": gap,
     }
 
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acpf import (
+    MeasurementError,
     MeasurementSet,
     PfSpec,
+    PowerFlowError,
     StateVector,
     benchmark_restore,
     canonical_kinds,
@@ -258,7 +260,7 @@ def build_lpac_dataset(
                     continue
             else:
                 x_ac = benchmark_restore(scen_net, z).state
-        except Exception as exc:  # noqa: BLE001
+        except (MeasurementError, PowerFlowError) as exc:
             logger.warning("scenario %d skipped (ground truth): %s", s, exc)
             continue
         records.append(

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import acrestore
 from acrestore.lpac import (
     EQ,
     GE,
@@ -23,10 +29,20 @@ from acrestore.lpac import (
     verify_certificates,
     write_lp_text,
 )
+from acrestore.scenarios import ScenarioSpec, gen_load_scenarios
+
+# Optimal objectives of build_lpac(case5) and build_lpac(case14), recorded
+# from the dense two-phase tableau simplex the package used before HiGHS.
+DENSE_SIMPLEX_OBJECTIVE = {"case5": 17522.55934868019, "case14": 7795.731533252087}
 
 
 def linprog_reference(lp: LinearProgram):
-    """Solve a LinearProgram with scipy's HiGHS backend for cross checks."""
+    """Solve a LinearProgram through linprog's dense A_ub/A_eq interface.
+
+    This runs the same HiGHS backend as simplex_solve, so it checks only the
+    row and sign bookkeeping; the independent checks are the pinned
+    objectives, vertex enumeration and the certificate tests below.
+    """
     n = lp.n_var
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, sense, rhs, _name in lp.rows:
@@ -87,7 +103,8 @@ def test_simplex_unbounded():
 
 
 def test_simplex_degenerate_tie_terminates():
-    # multiple optimal bases; Bland's rule must still terminate
+    # multiple optimal bases and a duplicated row: the solver must still
+    # stop at an optimum that passes the certificate check
     lp = LinearProgram()
     x = lp.add_var("x", 0.0, math.inf, cost=1.0)
     y = lp.add_var("y", 0.0, math.inf, cost=1.0)
@@ -97,6 +114,65 @@ def test_simplex_degenerate_tie_terminates():
     result = simplex_solve(lp)
     ref = linprog_reference(lp)
     assert result.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert result.objective == pytest.approx(1.0, abs=1e-9)
+    assert verify_certificates(result)["ok"]
+
+
+def vertex_enumeration_optimum(lp: LinearProgram) -> float:
+    """Brute-force oracle for a bounded LP: the best feasible point among all
+    intersections of n constraint hyperplanes (rows and variable bounds)."""
+    n = lp.n_var
+    planes = []
+    for coeffs, _sense, rhs, _name in lp.rows:
+        row = np.zeros(n)
+        for j, val in coeffs.items():
+            row[j] = val
+        planes.append((row, rhs))
+    for j in range(n):
+        for bound in (lp.lower[j], lp.upper[j]):
+            if math.isfinite(bound):
+                planes.append((np.eye(n)[j], bound))
+    best = math.inf
+    for subset in itertools.combinations(planes, n):
+        mat = np.array([p[0] for p in subset])
+        if abs(np.linalg.det(mat)) < 1e-9:
+            continue
+        point = np.linalg.solve(mat, np.array([p[1] for p in subset]))
+        feasible = all(
+            lo - 1e-9 <= v <= hi + 1e-9 for v, lo, hi in zip(point, lp.lower, lp.upper)
+        )
+        for coeffs, sense, rhs, _name in lp.rows:
+            act = sum(val * point[j] for j, val in coeffs.items())
+            feasible &= {LE: act <= rhs + 1e-9, GE: act >= rhs - 1e-9,
+                         EQ: abs(act - rhs) <= 1e-9}[sense]
+        if feasible:
+            best = min(best, float(np.dot(lp.objective, point)))
+    return best
+
+
+def test_simplex_matches_vertex_enumeration_on_random_lps():
+    rng = np.random.default_rng(7)
+    solved = infeasible = 0
+    for _ in range(40):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+        lp = LinearProgram()
+        for j in range(n):
+            lp.add_var(f"x{j}", float(rng.uniform(-2.0, 0.0)), float(rng.uniform(0.5, 3.0)),
+                       cost=float(rng.normal()))
+        for _i in range(m):
+            coeffs = {j: float(rng.normal()) for j in range(n)}
+            lp.add_row(coeffs, (LE, GE, EQ)[int(rng.integers(0, 3))], float(rng.uniform(-1.0, 1.0)))
+        oracle = vertex_enumeration_optimum(lp)
+        if math.isinf(oracle):
+            with pytest.raises(InfeasibleError):
+                simplex_solve(lp)
+            infeasible += 1
+            continue
+        result = simplex_solve(lp)
+        assert result.objective == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+        assert verify_certificates(result)["ok"]
+        solved += 1
+    assert solved > 10 and infeasible > 0
 
 
 def test_simplex_matches_reference_on_random_lps():
@@ -143,6 +219,77 @@ def test_iteration_limit_raises():
         lp.add_row({xs[j]: 1.0, xs[(j + 1) % 4]: 0.5}, LE, 2.0)
     with pytest.raises(IterationLimitError):
         simplex_solve(lp, max_iter=1)
+
+
+def tight_lp():
+    # min x + 3y  s.t.  x + 2y >= 4,  x - y <= 1,  y <= 10; optimum (2, 1)
+    # with row duals (4/3, -1/3, 0)
+    lp = LinearProgram()
+    x = lp.add_var("x", 0.0, math.inf, cost=1.0)
+    y = lp.add_var("y", cost=3.0)
+    lp.add_row({x: 1.0, y: 2.0}, GE, 4.0, "cover")
+    lp.add_row({x: 1.0, y: -1.0}, LE, 1.0, "spread")
+    lp.add_row({y: 1.0}, LE, 10.0, "cap")
+    return lp
+
+
+def test_certificate_accepts_optimum():
+    result = simplex_solve(tight_lp())
+    assert result.x == pytest.approx([2.0, 1.0])
+    assert result.duals == pytest.approx([4.0 / 3.0, -1.0 / 3.0, 0.0])
+    cert = verify_certificates(result)
+    assert cert["ok"], cert
+
+
+def test_certificate_rejects_point_off_a_tight_row():
+    result = simplex_solve(tight_lp())
+    shifted = dataclasses.replace(result, x=result.x + np.array([0.0, -1e-6]))
+    cert = verify_certificates(shifted)
+    assert not cert["ok"]
+    assert cert["primal_residual"] > 1e-9
+
+
+def test_certificate_rejects_wrong_sign_row_dual():
+    result = simplex_solve(tight_lp())
+    duals = result.duals.copy()
+    duals[0] = -duals[0]
+    cert = verify_certificates(dataclasses.replace(result, duals=duals))
+    assert not cert["ok"]
+    assert cert["min_row_dual"] < -1e-9
+
+
+def test_certificate_rejects_feasible_suboptimal_point():
+    # a feasible point that is not optimal: only the objective gap can tell
+    result = simplex_solve(tight_lp())
+    moved = dataclasses.replace(result, x=np.array([3.0, 2.0]))
+    cert = verify_certificates(moved)
+    assert cert["primal_residual"] == 0.0 and cert["bound_violation"] == 0.0
+    assert cert["min_row_dual"] >= 0.0 and cert["min_reduced_cost"] >= -1e-12
+    assert not cert["ok"]
+    assert cert["gap"] > 1e-9
+
+
+def test_certificate_rejects_nonzero_free_column_reduced_cost():
+    result = simplex_solve(tight_lp())
+    duals = result.duals + np.array([1e-6, 0.0, 0.0])
+    cert = verify_certificates(dataclasses.replace(result, duals=duals))
+    assert not cert["ok"]
+    assert cert["min_reduced_cost"] < -1e-9
+
+
+def test_import_leaves_lp_solver_modules_unloaded():
+    # scipy.optimize and scipy.sparse are imported on the first solve only:
+    # importing them costs ~0.3 s and ~20 MB, which every process that never
+    # solves an LP would pay
+    src = os.path.dirname(os.path.dirname(acrestore.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import acrestore, acrestore.lpac, acrestore.scenarios, acrestore.cli; "
+            "import sys; assert 'scipy.optimize' not in sys.modules; "
+            "assert 'scipy.sparse' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +376,23 @@ def test_lpac_matches_reference_solver_case14(case14):
     ref = linprog_reference(lp)
     assert ref.status == 0
     assert mine.objective == pytest.approx(ref.fun, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SIMPLEX_OBJECTIVE))
+def test_lpac_objective_matches_dense_simplex(name, case5, case14):
+    network = {"case5": case5, "case14": case14}[name]
+    result = simplex_solve(build_lpac(network))
+    assert result.objective == pytest.approx(DENSE_SIMPLEX_OBJECTIVE[name], rel=1e-9)
+    assert verify_certificates(result, tol=1e-9)["ok"]
+
+
+@pytest.mark.parametrize("seed,index", [(3, 9), (4, 20)])
+def test_lpac_certificate_on_former_defect_scenarios(case14, seed, index):
+    # the dense simplex returned an infeasible basis on these two scenarios
+    p_load, q_load = gen_load_scenarios(case14, ScenarioSpec(count=index + 1, seed=seed))[index]
+    result = simplex_solve(build_lpac(case14.with_loads(p_load, q_load)))
+    cert = verify_certificates(result, tol=1e-9)
+    assert cert["ok"], cert
 
 
 def test_lpac_objective_nondecreasing_under_nested_refinement(case5):

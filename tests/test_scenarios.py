@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acrestore import benchmark_restore, eval_h, wls_restore
+from acrestore import benchmark_restore, eval_h, scenarios, wls_restore
+from acrestore.acpf import PowerFlowError
 from acrestore.scenarios import (
     NoiseProfile,
     ScenarioSpec,
@@ -142,6 +143,32 @@ def test_lpac_dataset_skips_infeasible(case5, caplog):
     records = build_lpac_dataset(case5, heavy)
     assert len(records) == 1
     assert records[0].index == 1
+
+
+def test_lpac_dataset_skips_failed_ground_truth(case5, caplog, monkeypatch):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=37))
+
+    def fail_scenario_0(network, z):
+        if np.array_equal(network.p_load, loads[0][0]):
+            raise PowerFlowError("power flow diverged (injected)")
+        return benchmark_restore(network, z)
+
+    monkeypatch.setattr(scenarios, "benchmark_restore", fail_scenario_0)
+    with caplog.at_level("WARNING", logger="acrestore.scenarios"):
+        records = build_lpac_dataset(case5, loads)
+    assert [rec.index for rec in records] == [1]
+    assert "scenario 0 skipped (ground truth): power flow diverged (injected)" in caplog.text
+
+
+def test_lpac_dataset_propagates_programming_errors(case5, monkeypatch):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=37))
+
+    def broken(network, z):
+        raise TypeError("injected programming error")
+
+    monkeypatch.setattr(scenarios, "benchmark_restore", broken)
+    with pytest.raises(TypeError, match="injected"):
+        build_lpac_dataset(case5, loads)
 
 
 def test_synth_dataset_builds_quickly(case5):
