@@ -269,7 +269,6 @@ def cmd_train(args) -> int:
         eta=args.eta,
         max_iter=args.iters,
         w_init=default_initial_weights(layout),
-        rng_seed=args.seed,
         threads=args.threads,
     )
     weights, trace = train_weights(network, train_recs, config)
@@ -460,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--eta", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")

@@ -180,7 +180,7 @@ def ground_truth_states(network: Network, loads: list) -> list[StateVector | Non
         try:
             spec = dispatch_spec(scen_net, economic_dispatch(scen_net))
             states.append(newton_pf(scen_net, spec))
-        except Exception as exc:  # noqa: BLE001
+        except PowerFlowError as exc:
             logger.warning("scenario %d: ground-truth power flow failed: %s", s, exc)
             states.append(None)
     return states
@@ -207,7 +207,7 @@ def synth_dataset(
         scen_net = network.with_loads(p_load, q_load)
         try:
             x_ac = newton_pf(scen_net, dispatch_spec(scen_net))
-        except Exception as exc:  # noqa: BLE001
+        except PowerFlowError as exc:
             logger.warning("scenario %d skipped (power flow): %s", s, exc)
             continue
         values = eval_h(scen_net, x_ac, kinds) + rngs[s].normal(0.0, 1.0, len(kinds)) * stds

@@ -5,16 +5,18 @@ fixed there. With A = (H' W H)^-1 H' and the projected residual
 rho = r - H A W r, the derivative of the state with respect to weight i is
 the i-th column of A scaled by rho_i. Only the diagonal-weight slice is
 computed; when the converged residual is zero the sensitivity vanishes.
+A is formed with the normal-equation solver of `wls` (`solve_normal`), so
+an unobservable layout raises the same UnobservableError, naming the
+unobservable direction, as the restoration does.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .acpf import MeasurementSet, StateVector, eval_H, eval_h
 from .netmodel import Network
-from .wls import UnobservableError, check_weights
+from .wls import check_weights, solve_normal
 
 
 def solution_sensitivity(
@@ -32,11 +34,6 @@ def solution_sensitivity(
     weights = check_weights(weights, z.m)
     residual = z.values - eval_h(network, x_r, z.kinds)
     h_mat = eval_H(network, x_r, z.kinds)
-    normal = (h_mat * weights[:, None]).T @ h_mat
-    try:
-        cho = scipy.linalg.cho_factor(normal, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise UnobservableError("singular normal matrix") from exc
-    a_mat = scipy.linalg.cho_solve(cho, h_mat.T, check_finite=False)
+    a_mat = solve_normal(h_mat, weights, h_mat.T, network)
     projected = residual - h_mat @ (a_mat @ (weights * residual))
     return a_mat * projected[None, :]

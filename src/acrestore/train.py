@@ -18,7 +18,7 @@ import numpy as np
 from .acpf import MeasurementSet, StateVector
 from .netmodel import Network
 from .sens import solution_sensitivity
-from .wls import W_FLOOR, wls_restore
+from .wls import W_FLOOR, ConvergenceError, wls_restore
 
 logger = logging.getLogger(__name__)
 
@@ -64,18 +64,14 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-iteration loss, gradient max-norm, and periodic weight snapshots."""
+    """Per-iteration loss and gradient max-norm."""
 
     loss: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
-    snapshot_every: int = 50
-    snapshots: list = field(default_factory=list)  # (iteration, weights)
 
-    def record(self, iteration: int, loss_value: float, grad: np.ndarray, w: np.ndarray):
+    def record(self, loss_value: float, grad: np.ndarray):
         self.loss.append(loss_value)
         self.grad_norm.append(float(np.max(np.abs(grad))) if grad.size else 0.0)
-        if self.snapshot_every and iteration % self.snapshot_every == 0:
-            self.snapshots.append((iteration, w.copy()))
 
 
 def check_layout(dataset: list[ScenarioRecord]) -> tuple:
@@ -120,7 +116,9 @@ def loss(dataset: list[ScenarioRecord], restored: list[StateVector]) -> float:
 def _restore_and_weigh(network, rec, weights, tol, max_iter):
     result = wls_restore(network, rec.z, weights, tol=tol, max_iter=max_iter)
     if not result.converged:
-        raise RuntimeError("restoration did not converge")
+        raise ConvergenceError(
+            f"restoration did not converge in {result.iterations} iterations"
+        )
     sens = solution_sensitivity(network, rec.z, weights, result.state)
     mismatch = result.state.as_vector() - rec.x_ac.as_vector()
     return sens.T @ mismatch, result.state
@@ -209,7 +207,6 @@ def train_weights(
     network: Network,
     train_set: list[ScenarioRecord],
     config: TrainConfig,
-    snapshot_every: int = 50,
 ) -> tuple[np.ndarray, TrainTrace]:
     """Run the full-batch gradient-descent training loop.
 
@@ -227,7 +224,7 @@ def train_weights(
         raise ValueError(f"{w.size} initial weights for {len(layout)} measurements")
     m_t = np.zeros_like(w)
     v_t = np.zeros_like(w)
-    trace = TrainTrace(snapshot_every=snapshot_every)
+    trace = TrainTrace()
     rng = np.random.default_rng(config.rng_seed)
 
     for t in range(1, config.max_iter + 1):
@@ -239,7 +236,7 @@ def train_weights(
         grad, survivors, states = _gradient_pass(
             network, batch, w, threads=config.threads
         )
-        trace.record(t, loss(survivors, states), grad, w)
+        trace.record(loss(survivors, states), grad)
         w, m_t, v_t = adam_step(w, m_t, v_t, grad, t, config)
 
     return w, trace

@@ -1,10 +1,10 @@
 """Gauss-Newton weighted least squares restoration.
 
 Finds the voltage state whose modeled measurements best match a tagged
-measurement vector under positive diagonal weights. The normal-equation
-step is solved with a dense Cholesky factorization (the weighted normal
-matrix is symmetric positive definite whenever the configuration is
-observable) with an LU fallback for numerically indefinite cases.
+measurement vector under positive diagonal weights. `solve_normal` is the
+package's one normal-equation routine, shared with the weight sensitivity:
+it Jacobi-scales H' W H, lets a numpy Cholesky factorization decide
+observability, and solves each right-hand side with numpy only.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .acpf import MeasurementSet, StateVector, eval_H, eval_h
 from .netmodel import Network
@@ -26,6 +25,10 @@ _MAX_HALVINGS = 5
 
 class UnobservableError(RuntimeError):
     """The weighted normal matrix is singular for this measurement layout."""
+
+
+class ConvergenceError(RuntimeError):
+    """Gauss-Newton restoration stopped before its step fell below tol."""
 
 
 @dataclass(frozen=True)
@@ -48,13 +51,15 @@ def check_weights(weights: np.ndarray, m: int) -> np.ndarray:
     return weights
 
 
-def _solve_normal(h_mat: np.ndarray, weights: np.ndarray, rhs_vec: np.ndarray,
-                  labels) -> np.ndarray:
-    """Solve (H' W H) x = rhs, raising UnobservableError when singular.
+def solve_normal(h_mat: np.ndarray, weights: np.ndarray, rhs: np.ndarray,
+                 network: Network) -> np.ndarray:
+    """Solve (H' W H) x = rhs for a vector or a matrix right-hand side.
 
-    The normal matrix is Jacobi-scaled before the Cholesky factorization and
-    the solution is polished with one step of iterative refinement; both
-    reduce the conditioning penalty of the normal-equation approach.
+    The normal matrix is Jacobi-scaled to unit diagonal, and its Cholesky
+    factorization decides observability. A failed factorization always
+    raises UnobservableError, naming the unobservable direction; so does a
+    smallest pivot squared at or below 1e-12, an upper bound on the smallest
+    eigenvalue.
     """
     normal = (h_mat * weights[:, None]).T @ h_mat
     diag = np.diag(normal).copy()
@@ -62,30 +67,24 @@ def _solve_normal(h_mat: np.ndarray, weights: np.ndarray, rhs_vec: np.ndarray,
     if singular.any():
         j = int(np.flatnonzero(singular)[0])
         raise UnobservableError(
-            f"no measurement weight acts on state entry {labels[j]}"
+            f"no measurement weight acts on state entry {network.state_labels()[j]}"
         )
     scale = 1.0 / np.sqrt(diag)
     scaled = normal * scale[:, None] * scale[None, :]
-    rhs_scaled = rhs_vec * scale
     try:
-        cho = scipy.linalg.cho_factor(scaled, check_finite=False)
-        y = scipy.linalg.cho_solve(cho, rhs_scaled, check_finite=False)
-        resid = rhs_scaled - scaled @ y
-        y = y + scipy.linalg.cho_solve(cho, resid, check_finite=False)
-        return y * scale
-    except scipy.linalg.LinAlgError:
-        pass
-    eigvals, eigvecs = np.linalg.eigh(scaled)
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1.0):
-        null = eigvecs[:, 0]
+        observable = np.diag(np.linalg.cholesky(scaled)).min() ** 2 > 1e-12
+    except np.linalg.LinAlgError:
+        observable = False
+    if not observable:
+        null = np.linalg.eigh(scaled)[1][:, 0]
+        labels = network.state_labels()
         order = np.argsort(-np.abs(null))[:3]
         dominant = ", ".join(f"{labels[j]} ({null[j]:+.2f})" for j in order)
         raise UnobservableError(
             "singular normal matrix; unobservable direction dominated by " + dominant
         )
-    # indefinite only through rounding: fall back to a pivoted solve
-    lu = scipy.linalg.lu_factor(scaled, check_finite=False)
-    return scipy.linalg.lu_solve(lu, rhs_scaled, check_finite=False) * scale
+    d = scale if rhs.ndim == 1 else scale[:, None]
+    return np.linalg.solve(scaled, rhs * d) * d
 
 
 def wls_restore(
@@ -111,7 +110,6 @@ def wls_restore(
         raise UnobservableError(
             f"{z.m} measurements cannot determine {network.n_state} states"
         )
-    labels = network.state_labels()
     # the step is homogeneous of degree zero in the weights; dividing by the
     # largest weight up front makes that invariance hold in floating point
     # and keeps the normal matrix well scaled
@@ -129,7 +127,7 @@ def wls_restore(
     for iterations in range(1, max_iter + 1):
         h_mat = eval_H(network, state, z.kinds)
         grad = h_mat.T @ (weights * residual)
-        step = _solve_normal(h_mat, weights, grad, labels)
+        step = solve_normal(h_mat, weights, grad, network)
 
         x_vec = state.as_vector()
         candidate = None

@@ -117,8 +117,8 @@ def test_dataset_roundtrip(case5, tmp_path):
 
 def test_trace_roundtrip(tmp_path):
     trace = TrainTrace()
-    trace.record(1, 0.5, np.array([1.0, -2.0]), np.array([1.0, 1.0]))
-    trace.record(2, 0.25, np.array([0.5, -1.0]), np.array([1.0, 1.0]))
+    trace.record(0.5, np.array([1.0, -2.0]))
+    trace.record(0.25, np.array([0.5, -1.0]))
     path = tmp_path / "trace.tsv"
     write_trace(path, trace)
     rows = read_trace(path)

@@ -280,13 +280,16 @@ def test_certificate_rejects_nonzero_free_column_reduced_cost():
 def test_import_leaves_lp_solver_modules_unloaded():
     # scipy.optimize and scipy.sparse are imported on the first solve only:
     # importing them costs ~0.3 s and ~20 MB, which every process that never
-    # solves an LP would pay
+    # solves an LP would pay. The estimator and its sensitivity use numpy
+    # only, so no scipy module at all may load before that first solve.
     src = os.path.dirname(os.path.dirname(acrestore.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import acrestore, acrestore.lpac, acrestore.scenarios, acrestore.cli; "
             "import sys; assert 'scipy.optimize' not in sys.modules; "
-            "assert 'scipy.sparse' not in sys.modules")
+            "assert 'scipy.sparse' not in sys.modules; "
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+            "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -171,6 +171,40 @@ def test_lpac_dataset_propagates_programming_errors(case5, monkeypatch):
         build_lpac_dataset(case5, loads)
 
 
+def fail_scenario_0(loads, error):
+    """newton_pf that raises error on the first scenario's loads."""
+    newton_pf = scenarios.newton_pf
+
+    def solve(network, spec):
+        if np.array_equal(network.p_load, loads[0][0]):
+            raise error
+        return newton_pf(network, spec)
+
+    return solve
+
+
+def test_power_flow_failure_skips_scenario(case5, caplog, monkeypatch):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=37))
+    error = PowerFlowError("power flow diverged (injected)")
+    monkeypatch.setattr(scenarios, "newton_pf", fail_scenario_0(loads, error))
+    with caplog.at_level("WARNING", logger="acrestore.scenarios"):
+        states = ground_truth_states(case5, loads)
+        records = synth_dataset(case5, loads)
+    assert states[0] is None and states[1] is not None
+    assert [rec.index for rec in records] == [1]
+    assert "scenario 0: ground-truth power flow failed: power flow diverged (injected)" in caplog.text
+    assert "scenario 0 skipped (power flow): power flow diverged (injected)" in caplog.text
+
+
+@pytest.mark.parametrize("build", [ground_truth_states, synth_dataset])
+def test_power_flow_programming_errors_propagate(case5, monkeypatch, build):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=37))
+    error = TypeError("injected programming error")
+    monkeypatch.setattr(scenarios, "newton_pf", fail_scenario_0(loads, error))
+    with pytest.raises(TypeError, match="injected"):
+        build(case5, loads)
+
+
 def test_synth_dataset_builds_quickly(case5):
     import time
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acrestore import MeasurementSet, canonical_kinds, eval_h, wls_restore
+from acrestore import MeasurementSet, canonical_kinds, eval_h, train, wls_restore
 from acrestore.train import (
     ScenarioRecord,
     TrainConfig,
@@ -14,6 +14,7 @@ from acrestore.train import (
     loss,
     train_weights,
 )
+from acrestore.wls import UnobservableError
 from conftest import perturbed_state
 
 
@@ -141,6 +142,45 @@ def test_too_many_failures_aborts(case5):
         )
     with pytest.raises(TrainingError):
         accumulate_gradient(case5, records, np.full(len(kinds), 1e3))
+
+
+def fail_record_3(records, fault):
+    """wls_restore that applies fault to record 3 and runs normally elsewhere."""
+
+    def restore(network, z, weights, **kwargs):
+        if z is records[3].z:
+            return fault(network, z, weights)
+        return wls_restore(network, z, weights, **kwargs)
+
+    return restore
+
+
+def unobservable(network, z, weights):
+    raise UnobservableError("normal matrix singular (injected)")
+
+
+def one_iteration(network, z, weights):
+    return wls_restore(network, z, weights, max_iter=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        (unobservable, "record 3 skipped: normal matrix singular (injected)"),
+        (one_iteration, "record 3 skipped: restoration did not converge in 1 iterations"),
+    ],
+)
+def test_solver_error_skips_record(case5, caplog, monkeypatch, threads, fault, message):
+    rng = np.random.default_rng(12)
+    records = [make_record(case5, rng, noise_std=1e-3, index=i) for i in range(10)]
+    w = default_initial_weights(records[0].z.kinds)
+    expected = accumulate_gradient(case5, records[:3] + records[4:], w)
+    monkeypatch.setattr(train, "wls_restore", fail_record_3(records, fault))
+    with caplog.at_level("WARNING", logger="acrestore.train"):
+        grad = accumulate_gradient(case5, records, w, threads=threads)
+    assert np.array_equal(grad, expected)
+    assert message in caplog.text
 
 
 # ---------------------------------------------------------------------------

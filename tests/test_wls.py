@@ -10,6 +10,7 @@ from acrestore import (
     StateVector,
     canonical_kinds,
     eval_h,
+    solution_sensitivity,
     wls_restore,
 )
 from acrestore.wls import UnobservableError
@@ -169,6 +170,56 @@ def test_unobservable_configuration_names_direction(two_bus):
     with pytest.raises(UnobservableError) as err:
         wls_restore(two_bus, z, np.full(3, 1e3))
     assert "va[bus 2]" in str(err.value)
+
+
+def case5_angle_pair_layout(case5):
+    # slack is bus 4; every vm plus the flows on branches 1-2, 3-4 and 4-5
+    # see va[bus 1] and va[bus 2] only through their difference, so the
+    # normal matrix is singular although each diagonal entry is positive
+    flows = tuple(
+        MeasurementKind(kind, branch)
+        for branch in (0, 4, 5)
+        for kind in ("pf", "qf", "pt", "qt")
+    )
+    kinds = tuple(MeasurementKind("vm", i) for i in range(case5.n_bus)) + flows
+    return MeasurementSet(kinds, eval_h(case5, StateVector.flat(case5), kinds))
+
+
+def two_bus_angle_layout(two_bus):
+    kinds = (
+        MeasurementKind("vm", 0),
+        MeasurementKind("vm", 1),
+        MeasurementKind("va", 0),
+    )
+    return MeasurementSet(kinds, np.array([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "fixture,layout,solver,names",
+    [
+        ("case5", case5_angle_pair_layout, "wls", ("va[bus 1]", "va[bus 2]")),
+        ("case5", case5_angle_pair_layout, "sens", ("va[bus 1]", "va[bus 2]")),
+        ("two_bus", two_bus_angle_layout, "sens", ("va[bus 2]",)),
+    ],
+)
+def test_unobservable_layout_names_direction_in_both_solvers(
+    request, fixture, layout, solver, names
+):
+    network = request.getfixturevalue(fixture)
+    z = layout(network)
+    weights = np.full(z.m, 1e3)
+    # on case5, rounding makes the Cholesky factorization fail at some of
+    # these states and succeed with a pivot near 1e-8 at others
+    rng = np.random.default_rng(0)
+    states = [StateVector.flat(network)] + [perturbed_state(network, rng) for _ in range(3)]
+    for state in states:
+        with pytest.raises(UnobservableError) as err:
+            if solver == "wls":
+                wls_restore(network, z, weights, x0=state)
+            else:
+                solution_sensitivity(network, z, weights, state)
+        for name in names:
+            assert name in str(err.value)
 
 
 def test_restore_without_angle_measurements(case5):
