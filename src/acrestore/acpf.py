@@ -4,8 +4,14 @@ The voltage state is polar: one magnitude per bus plus one angle per
 non-slack bus (the slack angle is the zero reference), so the state
 dimension is 2*n_bus - 1. Measurement functions map a state to voltage
 magnitudes, angles, net bus injections, and directed branch flows, all in
-per-unit and radians. Everything here is a pure function of the
-(immutable) network and a state, so concurrent use is safe.
+per-unit and radians.
+
+A measurement layout is a sequence of MeasurementKind. `compile_layout`
+validates one once and groups its rows by kind family into a Layout.
+`eval_h` and `eval_H` take either a sequence, compiled on each call, or a
+Layout, used as is; `eval_H` writes each derivative straight into its
+state column. Everything here is a pure function of the (immutable)
+network, a state and a layout, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -65,26 +71,13 @@ class MeasurementSet:
         return len(self.kinds)
 
     def validate(self, network: Network):
-        validate_kinds(network, self.kinds)
+        compile_layout(network, self.kinds)
 
     def subset(self, keep) -> "MeasurementSet":
         keep = list(keep)
         return MeasurementSet(
             tuple(self.kinds[i] for i in keep), self.values[keep]
         )
-
-
-def validate_kinds(network: Network, kinds) -> None:
-    seen = set()
-    for k in kinds:
-        if k.kind not in ALL_KINDS:
-            raise MeasurementError(f"unknown measurement kind {k.kind!r}")
-        limit = network.n_bus if k.kind in BUS_KINDS else network.n_branch
-        if not (0 <= k.index < limit):
-            raise MeasurementError(f"{k.kind}[{k.index}] out of range")
-        if k in seen:
-            raise MeasurementError(f"duplicate measurement {k.kind}[{k.index}]")
-        seen.add(k)
 
 
 def canonical_kinds(
@@ -147,20 +140,70 @@ class StateVector:
         return self.vm * np.exp(1j * self.va)
 
 
-def _group(network: Network, kinds) -> dict:
-    """Row positions and bus/branch indices per kind family."""
-    validate_kinds(network, kinds)
-    groups: dict[str, tuple[list[int], list[int]]] = {
-        name: ([], []) for name in ALL_KINDS
-    }
-    for row, k in enumerate(kinds):
-        groups[k.kind][0].append(row)
-        groups[k.kind][1].append(k.index)
-    return {
-        name: (np.array(rows, dtype=int), np.array(idx, dtype=int))
-        for name, (rows, idx) in groups.items()
-        if rows
-    }
+_KIND_CODE = {name: code for code, name in enumerate(ALL_KINDS)}
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """A validated measurement layout, compiled once and reused as is.
+
+    `groups` maps each kind family present to its row positions and its bus
+    or branch indices. A layout fits every network with n_bus buses and
+    n_branch branches.
+    """
+
+    m: int
+    n_bus: int
+    n_branch: int
+    groups: dict
+
+
+def compile_layout(network: Network, kinds) -> Layout:
+    """Validate a sequence of MeasurementKind for the network and group it.
+
+    Raises MeasurementError for the first faulty entry in layout order,
+    checking at each position the kind, then the index range, then whether
+    the entry repeats an earlier one. A Layout is returned unchanged when
+    its bus and branch counts match the network's.
+    """
+    if isinstance(kinds, Layout):
+        if (kinds.n_bus, kinds.n_branch) != (network.n_bus, network.n_branch):
+            raise MeasurementError(
+                f"layout for {kinds.n_bus} buses and {kinds.n_branch} branches "
+                f"used with {network.n_bus} buses and {network.n_branch} branches"
+            )
+        return kinds
+    m = len(kinds)
+    codes = np.array([_KIND_CODE.get(k.kind, -1) for k in kinds], dtype=int)
+    index = np.array([k.index for k in kinds], dtype=int)
+    # per-code index limit; the last entry, 0, serves unknown kinds (code -1)
+    limits = np.array([network.n_bus] * len(BUS_KINDS)
+                      + [network.n_branch] * len(BRANCH_KINDS) + [0])
+    valid = (index >= 0) & (index < limits[codes])
+    # a repeat is an entry whose key was first seen at an earlier position;
+    # invalid entries share the key -1, the last slot of `first`, and the
+    # first of them is reported before any repeat that key produces
+    width = max(network.n_bus, network.n_branch)
+    key = codes * width + index
+    key[~valid] = -1
+    position = np.arange(m)
+    first = np.full(len(ALL_KINDS) * width + 1, m)
+    np.minimum.at(first, key, position)
+    faulty = ~valid | (first[key] < position)
+    if faulty.any():
+        i = int(faulty.argmax())
+        k = kinds[i]
+        if codes[i] < 0:
+            raise MeasurementError(f"unknown measurement kind {k.kind!r}")
+        if not valid[i]:
+            raise MeasurementError(f"{k.kind}[{k.index}] out of range")
+        raise MeasurementError(f"duplicate measurement {k.kind}[{k.index}]")
+    groups = {}
+    for code, name in enumerate(ALL_KINDS):
+        rows = np.flatnonzero(codes == code)
+        if rows.size:
+            groups[name] = (rows, index[rows])
+    return Layout(m, network.n_bus, network.n_branch, groups)
 
 
 def _branch_flows(network: Network, v: np.ndarray):
@@ -171,10 +214,15 @@ def _branch_flows(network: Network, v: np.ndarray):
 
 
 def eval_h(network: Network, state: StateVector, kinds) -> np.ndarray:
-    """Evaluate the measurement functions at the given state."""
-    groups = _group(network, kinds)
+    """Evaluate the measurement functions at the given state.
+
+    `kinds` is a sequence of MeasurementKind, validated and compiled on this
+    call, or a Layout from `compile_layout`, used as is.
+    """
+    layout = compile_layout(network, kinds)
+    groups = layout.groups
     v = state.voltages()
-    out = np.empty(len(kinds))
+    out = np.empty(layout.m)
     need_inj = "pinj" in groups or "qinj" in groups
     need_flow = any(name in groups for name in BRANCH_KINDS)
     s_inj = v * np.conj(network.ybus @ v) if need_inj else None
@@ -213,32 +261,45 @@ def _injection_derivatives(network: Network, v: np.ndarray):
     return ds_dvm, ds_dva
 
 
+def _angle_columns(network: Network, buses: np.ndarray):
+    """Mask of the non-slack entries of `buses` and their angle state columns."""
+    keep = buses != network.slack
+    return keep, network.n_bus + buses[keep] - (buses[keep] > network.slack)
+
+
 def eval_H(network: Network, state: StateVector, kinds) -> np.ndarray:
-    """Measurement Jacobian (m x n) in the [vm, non-slack va] column order."""
-    groups = _group(network, kinds)
+    """Measurement Jacobian (m x n) in the [vm, non-slack va] column order.
+
+    `kinds` is a sequence of MeasurementKind or a compiled Layout, as for
+    `eval_h`. Derivatives with respect to the slack angle are dropped, so a
+    va row of the slack bus is all zeros.
+    """
+    layout = compile_layout(network, kinds)
+    groups = layout.groups
     nb = network.n_bus
     v = state.voltages()
     v_norm = np.exp(1j * state.va)
-    m = len(kinds)
-    h_full = np.zeros((m, 2 * nb))
+    h_mat = np.zeros((layout.m, network.n_state))
 
     if "vm" in groups:
         rows, idx = groups["vm"]
-        h_full[rows, idx] = 1.0
+        h_mat[rows, idx] = 1.0
     if "va" in groups:
         rows, idx = groups["va"]
-        h_full[rows, nb + idx] = 1.0
+        keep, cols = _angle_columns(network, idx)
+        h_mat[rows[keep], cols] = 1.0
 
     if "pinj" in groups or "qinj" in groups:
         ds_dvm, ds_dva = _injection_derivatives(network, v)
+        non_slack = np.flatnonzero(np.arange(nb) != network.slack)
         if "pinj" in groups:
             rows, idx = groups["pinj"]
-            h_full[rows, :nb] = ds_dvm[idx].real
-            h_full[rows, nb:] = ds_dva[idx].real
+            h_mat[rows, :nb] = ds_dvm[idx].real
+            h_mat[rows, nb:] = ds_dva[np.ix_(idx, non_slack)].real
         if "qinj" in groups:
             rows, idx = groups["qinj"]
-            h_full[rows, :nb] = ds_dvm[idx].imag
-            h_full[rows, nb:] = ds_dva[idx].imag
+            h_mat[rows, :nb] = ds_dvm[idx].imag
+            h_mat[rows, nb:] = ds_dva[np.ix_(idx, non_slack)].imag
 
     if any(name in groups for name in BRANCH_KINDS):
         f, t = network.f_idx, network.t_idx
@@ -266,12 +327,13 @@ def eval_H(network: Network, state: StateVector, kinds) -> np.ndarray:
             if name not in groups:
                 continue
             rows, idx = groups[name]
-            h_full[rows, f[idx]] = d_vmf[idx]
-            h_full[rows, t[idx]] = d_vmt[idx]
-            h_full[rows, nb + f[idx]] = d_vaf[idx]
-            h_full[rows, nb + t[idx]] = d_vat[idx]
+            h_mat[rows, f[idx]] = d_vmf[idx]
+            h_mat[rows, t[idx]] = d_vmt[idx]
+            for buses, d_va in ((f[idx], d_vaf[idx]), (t[idx], d_vat[idx])):
+                keep, cols = _angle_columns(network, buses)
+                h_mat[rows[keep], cols] = d_va[keep]
 
-    return np.delete(h_full, nb + network.slack, axis=1)
+    return h_mat
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acpf import MeasurementKind, MeasurementSet, OperatingPoint, StateVector
+from .acpf import (
+    MeasurementKind,
+    MeasurementSet,
+    OperatingPoint,
+    StateVector,
+    compile_layout,
+)
 from .netmodel import Network, serialize_case
 from .train import ScenarioRecord
 
@@ -344,11 +350,11 @@ def read_dataset(root, network: Network):
     manifest = read_json(os.path.join(root, "manifest.json"), MANIFEST_SCHEMA)
     check_network_hash(manifest, network, root)
     kinds = layout_from_json(network, manifest["layout"])
+    compile_layout(network, kinds)  # one shared layout, validated once
     records = []
     for name in manifest["records"]:
         payload = read_json(os.path.join(root, name), RECORD_SCHEMA)
         z = MeasurementSet(kinds, np.asarray(payload["z"], dtype=float))
-        z.validate(network)
         records.append(
             ScenarioRecord(
                 p_load=np.asarray(payload["p_load"], dtype=float),

@@ -7,14 +7,15 @@ the i-th column of A scaled by rho_i. Only the diagonal-weight slice is
 computed; when the converged residual is zero the sensitivity vanishes.
 A is formed with the normal-equation solver of `wls` (`solve_normal`), so
 an unobservable layout raises the same UnobservableError, naming the
-unobservable direction, as the restoration does.
+unobservable direction, as the restoration does. Like the restoration, each
+call validates and compiles its measurement layout once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .acpf import MeasurementSet, StateVector, eval_H, eval_h
+from .acpf import MeasurementSet, StateVector, compile_layout, eval_H, eval_h
 from .netmodel import Network
 from .wls import check_weights, solve_normal
 
@@ -30,10 +31,10 @@ def solution_sensitivity(
     x_r must be a converged restoration for (z, weights); the result is
     homogeneous of degree -1 in the weights.
     """
-    z.validate(network)
+    layout = compile_layout(network, z.kinds)
     weights = check_weights(weights, z.m)
-    residual = z.values - eval_h(network, x_r, z.kinds)
-    h_mat = eval_H(network, x_r, z.kinds)
+    residual = z.values - eval_h(network, x_r, layout)
+    h_mat = eval_H(network, x_r, layout)
     a_mat = solve_normal(h_mat, weights, h_mat.T, network)
     projected = residual - h_mat @ (a_mat @ (weights * residual))
     return a_mat * projected[None, :]

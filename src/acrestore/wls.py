@@ -4,7 +4,9 @@ Finds the voltage state whose modeled measurements best match a tagged
 measurement vector under positive diagonal weights. `solve_normal` is the
 package's one normal-equation routine, shared with the weight sensitivity:
 it Jacobi-scales H' W H, lets a numpy Cholesky factorization decide
-observability, and solves each right-hand side with numpy only.
+observability, and solves each right-hand side with numpy only. Each
+restoration validates and compiles its measurement layout once and passes
+the compiled layout to every evaluation of h and H.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acpf import MeasurementSet, StateVector, eval_H, eval_h
+from .acpf import MeasurementSet, StateVector, compile_layout, eval_H, eval_h
 from .netmodel import Network
 
 W_FLOOR = 1e-8
@@ -104,7 +106,7 @@ def wls_restore(
     uniform scaling of the weights; a step that inflates the objective by
     more than 10x is halved (at most 5 times) before being applied.
     """
-    z.validate(network)
+    layout = compile_layout(network, z.kinds)
     weights = check_weights(weights, z.m)
     if z.m < network.n_state:
         raise UnobservableError(
@@ -117,7 +119,7 @@ def wls_restore(
     weights = weights / w_scale
 
     state = x0 if x0 is not None else StateVector.flat(network)
-    residual = z.values - eval_h(network, state, z.kinds)
+    residual = z.values - eval_h(network, state, layout)
     objective = float(residual @ (weights * residual))
     obj_trace = [objective]
     state_trace = [state] if keep_iterates else []
@@ -125,7 +127,7 @@ def wls_restore(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        h_mat = eval_H(network, state, z.kinds)
+        h_mat = eval_H(network, state, layout)
         grad = h_mat.T @ (weights * residual)
         step = solve_normal(h_mat, weights, grad, network)
 
@@ -137,7 +139,7 @@ def wls_restore(
             except ValueError:  # step left the positive-magnitude region
                 step = step / 2.0
                 continue
-            cand_residual = z.values - eval_h(network, trial, z.kinds)
+            cand_residual = z.values - eval_h(network, trial, layout)
             cand_objective = float(cand_residual @ (weights * cand_residual))
             candidate = trial
             if cand_objective <= _DAMP_RATIO * objective:

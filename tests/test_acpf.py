@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,15 @@ from acrestore import (
     operating_point,
     parse_case,
 )
-from acrestore.acpf import MeasurementError, PowerFlowError
+from acrestore import wls_restore
+from acrestore.acpf import (
+    ALL_KINDS,
+    BUS_KINDS,
+    Layout,
+    MeasurementError,
+    PowerFlowError,
+    compile_layout,
+)
 from acrestore.netmodel import PQ, PV, SLACK
 from conftest import fd_jacobian, perturbed_state
 
@@ -209,6 +219,149 @@ mpc.branch = [
     H_fd = fd_jacobian(net, state, kinds)
     err = np.max(np.abs(H - H_fd)) / (1.0 + np.max(np.abs(H_fd)))
     assert err < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# measurement layouts
+# ---------------------------------------------------------------------------
+
+
+def validate_by_entry(network, kinds):
+    """Per-entry reference for the checks of compile_layout and their order."""
+    seen = set()
+    for k in kinds:
+        if k.kind not in ALL_KINDS:
+            raise MeasurementError(f"unknown measurement kind {k.kind!r}")
+        limit = network.n_bus if k.kind in BUS_KINDS else network.n_branch
+        if not (0 <= k.index < limit):
+            raise MeasurementError(f"{k.kind}[{k.index}] out of range")
+        if k in seen:
+            raise MeasurementError(f"duplicate measurement {k.kind}[{k.index}]")
+        seen.add(k)
+
+
+def restore_zeros(network, kinds):
+    kinds = tuple(kinds)
+    return wls_restore(network, MeasurementSet(kinds, np.zeros(len(kinds))), np.ones(len(kinds)))
+
+
+LAYOUT_USERS = {
+    "eval_h": lambda network, kinds: eval_h(network, StateVector.flat(network), kinds),
+    "eval_H": lambda network, kinds: eval_H(network, StateVector.flat(network), kinds),
+    "wls_restore": restore_zeros,
+}
+
+
+def faulty_entry(network, fault):
+    return {
+        "unknown kind": (MeasurementKind("vx", 1), "unknown measurement kind 'vx'"),
+        "negative index": (MeasurementKind("qinj", -1), "qinj[-1] out of range"),
+        "bus index n_bus": (
+            MeasurementKind("pinj", network.n_bus), f"pinj[{network.n_bus}] out of range"
+        ),
+        "branch index n_branch": (
+            MeasurementKind("qt", network.n_branch), f"qt[{network.n_branch}] out of range"
+        ),
+        "duplicate": (MeasurementKind("vm", 3), "duplicate measurement vm[3]"),
+    }[fault]
+
+
+@pytest.mark.parametrize("user", sorted(LAYOUT_USERS))
+@pytest.mark.parametrize(
+    "fault",
+    ["unknown kind", "negative index", "bus index n_bus", "branch index n_branch", "duplicate"],
+)
+def test_faulty_layout_entry_is_named(case5, user, fault):
+    entry, message = faulty_entry(case5, fault)
+    kinds = list(canonical_kinds(case5))
+    kinds.insert(7, entry)
+    with pytest.raises(MeasurementError, match=re.escape(message)):
+        LAYOUT_USERS[user](case5, kinds)
+
+
+@pytest.mark.parametrize("user", sorted(LAYOUT_USERS))
+def test_first_fault_in_layout_order_is_reported(case5, user):
+    vm = [MeasurementKind("vm", i) for i in range(case5.n_bus)]
+    wide = MeasurementKind("pf", case5.n_branch)
+    bogus = MeasurementKind("bogus", 0)
+    cases = [
+        (vm[:2] + [wide, vm[2], bogus] + vm[3:], f"pf[{case5.n_branch}] out of range"),
+        (vm[:2] + [bogus, vm[2], wide] + vm[3:], "unknown measurement kind 'bogus'"),
+        # a repeat is reported at its second occurrence
+        (vm[:2] + [vm[0], wide] + vm[2:], "duplicate measurement vm[0]"),
+        (vm[:2] + [wide, vm[0]] + vm[2:], f"pf[{case5.n_branch}] out of range"),
+    ]
+    for kinds, message in cases:
+        with pytest.raises(MeasurementError, match=re.escape(message)):
+            LAYOUT_USERS[user](case5, kinds)
+
+
+def test_layout_checks_match_per_entry_reference(case5):
+    rng = np.random.default_rng(17)
+    names = ALL_KINDS + ("bogus",)
+    indices = (-1000, -1, 0, 1, 2, 3, 4, 5, 6, 1000)
+    outcomes = set()
+    for _ in range(400):
+        kinds = [
+            MeasurementKind(names[rng.integers(len(names))], indices[rng.integers(len(indices))])
+            for _ in range(rng.integers(0, 10))
+        ]
+        expected = got = None
+        try:
+            validate_by_entry(case5, kinds)
+        except MeasurementError as exc:
+            expected = str(exc)
+        try:
+            compile_layout(case5, kinds)
+        except MeasurementError as exc:
+            got = str(exc)
+        assert got == expected, kinds
+        outcomes.add(expected.split(" ")[0] if expected else None)
+    assert outcomes >= {None, "unknown", "duplicate"}
+    assert any(o and o.endswith("]") for o in outcomes)  # an out-of-range entry
+
+
+@pytest.mark.parametrize("name", ["case5", "case14"])
+def test_permuted_layout_permutes_rows_exactly(name, request):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(23)
+    kinds = canonical_kinds(network)
+    slack = network.slack
+    slack_va = kinds.index(MeasurementKind("va", slack))
+    assert np.any((network.f_idx == slack) | (network.t_idx == slack))
+    state = perturbed_state(network, rng)
+    h = eval_h(network, state, kinds)
+    H = eval_H(network, state, kinds)
+    assert H.shape == (len(kinds), network.n_state)
+    assert not H[slack_va].any()
+    for _ in range(3):
+        perm = rng.permutation(len(kinds))
+        permuted = [kinds[i] for i in perm]
+        assert np.array_equal(eval_h(network, state, permuted), h[perm])
+        assert np.array_equal(eval_H(network, state, permuted), H[perm])
+
+
+def test_compiled_layout_matches_plain_sequence(case14):
+    rng = np.random.default_rng(29)
+    canonical = canonical_kinds(case14)
+    subset = [canonical[i] for i in rng.permutation(len(canonical))[:60]]
+    state = perturbed_state(case14, rng)
+    for kinds in (canonical, subset):
+        layout = compile_layout(case14, kinds)
+        assert isinstance(layout, Layout) and layout.m == len(kinds)
+        assert compile_layout(case14, layout) is layout
+        assert np.array_equal(eval_h(case14, state, layout), eval_h(case14, state, kinds))
+        assert np.array_equal(eval_H(case14, state, layout), eval_H(case14, state, kinds))
+
+
+def test_layout_fits_networks_of_its_shape_only(case5, case14):
+    layout = compile_layout(case5, canonical_kinds(case5))
+    loaded = case5.with_loads(case5.p_load * 1.1, case5.q_load)
+    state = StateVector.flat(case5)
+    assert np.array_equal(eval_h(loaded, state, layout), eval_h(loaded, state, canonical_kinds(case5)))
+    for evaluate in (eval_h, eval_H):
+        with pytest.raises(MeasurementError, match="layout for 5 buses and 6 branches"):
+            evaluate(case14, StateVector.flat(case14), layout)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from acrestore import (
     operating_point,
 )
 from acrestore import fileio
+from acrestore.acpf import MeasurementError
 from acrestore.fileio import (
     FormatError,
     SolutionFile,
@@ -113,6 +116,19 @@ def test_dataset_roundtrip(case5, tmp_path):
         assert np.array_equal(a.z.values, b.z.values)
         assert a.x_ac.as_vector() == pytest.approx(b.x_ac.as_vector())
         assert np.array_equal(a.p_load, b.p_load)
+
+
+def test_dataset_manifest_with_repeated_entry_rejected(case5, tmp_path):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=3))
+    records = synth_dataset(case5, loads, seed=4)
+    root = tmp_path / "ds"
+    write_dataset(root, case5, records, [0], [1], {"source": "synthetic"})
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["layout"][1] = manifest["layout"][0]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(MeasurementError, match="duplicate measurement"):
+        read_dataset(root, case5)
 
 
 def test_trace_roundtrip(tmp_path):

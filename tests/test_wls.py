@@ -13,6 +13,7 @@ from acrestore import (
     solution_sensitivity,
     wls_restore,
 )
+from acrestore import acpf, sens, wls
 from acrestore.wls import UnobservableError
 from conftest import perturbed_state
 
@@ -239,3 +240,29 @@ def test_nonconvergence_flagged_not_raised(two_bus):
     result = wls_restore(two_bus, z, weights, max_iter=1)
     assert not result.converged
     assert result.iterations == 1
+
+
+@pytest.mark.parametrize("solver", ["wls_restore", "solution_sensitivity"])
+def test_each_solve_compiles_its_layout_once(case14, monkeypatch, solver):
+    rng = np.random.default_rng(31)
+    kinds = canonical_kinds(case14)
+    values = eval_h(case14, perturbed_state(case14, rng), kinds)
+    z = MeasurementSet(kinds, values + 1e-3 * rng.standard_normal(len(kinds)))
+    weights = np.ones(len(kinds))
+    x_r = wls_restore(case14, z, weights).state
+
+    compiled = []
+    compile_layout = acpf.compile_layout
+
+    def counting(network, layout):
+        if not isinstance(layout, acpf.Layout):
+            compiled.append(len(layout))
+        return compile_layout(network, layout)
+
+    for module in (acpf, wls, sens):
+        monkeypatch.setattr(module, "compile_layout", counting)
+    if solver == "wls_restore":
+        wls_restore(case14, z, weights)
+    else:
+        solution_sensitivity(case14, z, weights, x_r)
+    assert compiled == [len(kinds)]
