@@ -275,7 +275,10 @@ def cmd_train(args) -> int:
     fileio.write_weights(args.out, network, layout, weights)
     print(f"weights written to {args.out}")
     if trace.loss:
-        print(f"training loss {trace.loss[0]:.6g} -> {trace.loss[-1]:.6g}")
+        print(
+            f"training loss {trace.loss[0]:.6g} -> {trace.loss[-1]:.6g} "
+            f"({sum(trace.gn_iters)} Gauss-Newton iterations)"
+        )
     if args.trace:
         fileio.write_trace(args.trace, trace)
         print(f"trace written to {args.trace}")

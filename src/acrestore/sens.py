@@ -1,11 +1,17 @@
 """Analytic sensitivity of the restored state to the diagonal weights.
 
 Evaluated at a converged restoration with the measurement Jacobian held
-fixed there. With A = (H' W H)^-1 H' and the projected residual
-rho = r - H A W r, the derivative of the state with respect to weight i is
-the i-th column of A scaled by rho_i. Only the diagonal-weight slice is
-computed; when the converged residual is zero the sensitivity vanishes.
-A is formed with the normal-equation solver of `wls` (`solve_normal`), so
+fixed there. With N = H' W H and the projected residual
+rho = r - H N^-1 H' W r, the derivative of the state with respect to weight
+i is the i-th column of S = N^-1 H' diag(rho). Training only needs the
+product S' D with a few state-space vectors D (the adjoint, or
+implicit-function, gradient through the argmin), and that product is
+rho * (H N^-1 D): one normal-equation solve with right-hand side
+[H' W r | D], so 1 + k columns instead of one per measurement. The full
+matrix is the same product with D = I, transposed. When the converged
+residual is zero the sensitivity vanishes.
+
+N is factored by the normal-equation solver of `wls` (`solve_normal`), so
 an unobservable layout raises the same UnobservableError, naming the
 unobservable direction, as the restoration does. Like the restoration, each
 call validates and compiles its measurement layout once.
@@ -25,16 +31,23 @@ def solution_sensitivity(
     z: MeasurementSet,
     weights: np.ndarray,
     x_r: StateVector,
+    d: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sensitivity matrix of shape (n_state, m measurements) at x_r.
+    """Sensitivity S (n_state, m) at x_r, or its product S' d with d given.
 
-    x_r must be a converged restoration for (z, weights); the result is
-    homogeneous of degree -1 in the weights.
+    d is a state-space vector (n_state,) or matrix (n_state, k); the product
+    has shape (m,) or (m, k). x_r must be a converged restoration for
+    (z, weights); the result is homogeneous of degree -1 in the weights.
     """
     layout = compile_layout(network, z.kinds)
     weights = check_weights(weights, z.m)
     residual = z.values - eval_h(network, x_r, layout)
     h_mat = eval_H(network, x_r, layout)
-    a_mat = solve_normal(h_mat, weights, h_mat.T, network)
-    projected = residual - h_mat @ (a_mat @ (weights * residual))
-    return a_mat * projected[None, :]
+    d_mat = np.eye(network.n_state) if d is None else np.asarray(d, dtype=float)
+    rhs = np.column_stack([h_mat.T @ (weights * residual), d_mat])
+    solved = solve_normal(h_mat, weights, rhs, network)
+    projected = residual - h_mat @ solved[:, 0]
+    product = projected[:, None] * (h_mat @ solved[:, 1:])
+    if d is None:
+        return product.T
+    return product[:, 0] if d_mat.ndim == 1 else product

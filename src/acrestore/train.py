@@ -2,9 +2,15 @@
 
 Training minimizes the squared voltage-space distance between restored
 states and ground-truth states over a scenario dataset by adjusting the
-diagonal measurement weights. Per-record restorations are independent, so
-the gradient pass can fan out over threads; the reduction is performed in
-record order, making results identical in sequential and threaded runs.
+diagonal measurement weights. Each record's gradient is the adjoint product
+S' (x_r - x_ac) of the weight sensitivity with its state mismatch, computed
+by `solution_sensitivity` without forming S. `train_weights` warm-starts
+each record's restoration from the state it converged to on the previous
+Adam iteration; the first iteration, and a record skipped on the previous
+one, start flat, as does every restoration in `accumulate_gradient`.
+Per-record restorations are independent, so the gradient pass can fan out
+over threads; the reduction is performed in record order, making results
+identical in sequential and threaded runs.
 """
 
 from __future__ import annotations
@@ -64,14 +70,20 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-iteration loss and gradient max-norm."""
+    """Per-iteration loss, gradient max-norm, Gauss-Newton iterations summed
+    over the records used, and the number of records used."""
 
     loss: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
+    gn_iters: list = field(default_factory=list)
+    records_used: list = field(default_factory=list)
 
-    def record(self, loss_value: float, grad: np.ndarray):
+    def record(self, loss_value: float, grad: np.ndarray, gn_iters: int = 0,
+               records_used: int = 0):
         self.loss.append(loss_value)
         self.grad_norm.append(float(np.max(np.abs(grad))) if grad.size else 0.0)
+        self.gn_iters.append(gn_iters)
+        self.records_used.append(records_used)
 
 
 def check_layout(dataset: list[ScenarioRecord]) -> tuple:
@@ -113,15 +125,15 @@ def loss(dataset: list[ScenarioRecord], restored: list[StateVector]) -> float:
     return total / denom
 
 
-def _restore_and_weigh(network, rec, weights, tol, max_iter):
-    result = wls_restore(network, rec.z, weights, tol=tol, max_iter=max_iter)
+def _restore_and_weigh(network, rec, weights, x0, tol, max_iter):
+    result = wls_restore(network, rec.z, weights, x0=x0, tol=tol, max_iter=max_iter)
     if not result.converged:
         raise ConvergenceError(
             f"restoration did not converge in {result.iterations} iterations"
         )
-    sens = solution_sensitivity(network, rec.z, weights, result.state)
     mismatch = result.state.as_vector() - rec.x_ac.as_vector()
-    return sens.T @ mismatch, result.state
+    grad = solution_sensitivity(network, rec.z, weights, result.state, mismatch)
+    return grad, result.state, result.iterations
 
 
 def _gradient_pass(
@@ -131,20 +143,24 @@ def _gradient_pass(
     tol: float = 1e-8,
     max_iter: int = 50,
     threads: int = 1,
+    starts: list | None = None,
 ):
-    """Gradient over the dataset plus the restored states used to compute it.
+    """Gradient over the dataset, the restored state of each record (None
+    where it was skipped), and the Gauss-Newton iterations of the records
+    used. Record i starts from starts[i], or flat where that is None.
 
     Failed records are skipped with a log entry; more than 10% failures
     aborts. Contributions are reduced in record order so threaded and
     sequential runs agree exactly.
     """
     check_layout(dataset)
+    starts = starts if starts is not None else [None] * len(dataset)
     per_record: list = [None] * len(dataset)
 
     def work(i):
         try:
             per_record[i] = _restore_and_weigh(
-                network, dataset[i], weights, tol, max_iter
+                network, dataset[i], weights, starts[i], tol, max_iter
             )
         except Exception as exc:  # noqa: BLE001 - any solver failure skips the record
             logger.warning("record %d skipped: %s", dataset[i].index, exc)
@@ -163,14 +179,13 @@ def _gradient_pass(
         )
 
     grad = np.zeros(weights.size)
-    survivors, states = [], []
-    for rec, item in zip(dataset, per_record):
-        if item is None:
-            continue
-        grad += item[0]
-        survivors.append(rec)
-        states.append(item[1])
-    return grad, survivors, states
+    gn_iters = 0
+    for item in per_record:
+        if item is not None:
+            grad += item[0]
+            gn_iters += item[2]
+    states = [None if item is None else item[1] for item in per_record]
+    return grad, states, gn_iters
 
 
 def accumulate_gradient(
@@ -179,7 +194,8 @@ def accumulate_gradient(
     weights: np.ndarray,
     threads: int = 1,
 ) -> np.ndarray:
-    """Summed loss gradient with respect to the weights over the dataset."""
+    """Summed loss gradient with respect to the weights over the dataset,
+    every record restored from a flat start."""
     grad, _, _ = _gradient_pass(network, dataset, weights, threads=threads)
     return grad
 
@@ -211,8 +227,10 @@ def train_weights(
     """Run the full-batch gradient-descent training loop.
 
     Each outer iteration restores every (batch) record with the current
-    weights, accumulates the analytic gradient, applies one Adam update,
-    and records the loss of the restorations that produced the gradient.
+    weights, starting from the state the record converged to on its last
+    restoration (flat on the first, and after a skip), accumulates the
+    analytic gradient, applies one Adam update, and records the loss of the
+    restorations that produced the gradient.
     """
     layout = check_layout(train_set)
     w = (
@@ -226,17 +244,22 @@ def train_weights(
     v_t = np.zeros_like(w)
     trace = TrainTrace()
     rng = np.random.default_rng(config.rng_seed)
+    warm: list = [None] * len(train_set)  # last restored state of each record
 
     for t in range(1, config.max_iter + 1):
         if config.batch_size and config.batch_size < len(train_set):
-            pick = rng.choice(len(train_set), size=config.batch_size, replace=False)
-            batch = [train_set[i] for i in sorted(pick)]
+            pick = sorted(rng.choice(len(train_set), size=config.batch_size, replace=False))
         else:
-            batch = train_set
-        grad, survivors, states = _gradient_pass(
-            network, batch, w, threads=config.threads
+            pick = range(len(train_set))
+        batch = [train_set[i] for i in pick]
+        grad, states, gn_iters = _gradient_pass(
+            network, batch, w, threads=config.threads, starts=[warm[i] for i in pick]
         )
-        trace.record(loss(survivors, states), grad)
+        for i, state in zip(pick, states):
+            warm[i] = state
+        survivors = [rec for rec, state in zip(batch, states) if state is not None]
+        restored = [state for state in states if state is not None]
+        trace.record(loss(survivors, restored), grad, gn_iters, len(survivors))
         w, m_t, v_t = adam_step(w, m_t, v_t, grad, t, config)
 
     return w, trace

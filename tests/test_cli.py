@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,8 @@ def test_scenarios_train_eval_pipeline(case_path, tmp_path, capsys):
         "--eta", "50", "--out", str(weights), "--trace", str(trace),
     ) == 0
     assert len(fileio.read_trace(trace)) == 3
+    train_line = capsys.readouterr().out.splitlines()[-2]
+    assert re.fullmatch(r"training loss \S+ -> \S+ \(\d+ Gauss-Newton iterations\)", train_line)
     report_dir = tmp_path / "report"
     assert run(
         "eval", "--case", case_path, "--data", str(data),
