@@ -7,16 +7,25 @@ magnitudes, angles, net bus injections, and directed branch flows, all in
 per-unit and radians.
 
 A measurement layout is a sequence of MeasurementKind. `compile_layout`
-validates one once and groups its rows by kind family into a Layout.
-`eval_h` and `eval_H` take either a sequence, compiled on each call, or a
-Layout, used as is; `eval_H` writes each derivative straight into its
-state column. Everything here is a pure function of the (immutable)
+validates one once into a Layout: its rows grouped by kind family, with the
+magnitude and angle state columns of every row's buses, and the topology
+(slack bus, branch endpoints) it was compiled for. `eval_h` and `eval_H`
+take either a sequence, compiled on each call, or a Layout, used as is;
+`eval_H` writes each derivative straight into its state column.
+
+A Layout also carries the sparsity pattern of its Jacobian, the positions
+the topology allows to be nonzero at any state, and the pairs of entries
+that share a row, which is what the normal product H' W H sums over. The
+pattern is built on first use, so a layout that only evaluates h never
+pays for it. Everything here is a pure function of the (immutable)
 network, a state and a layout, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,19 +152,124 @@ class StateVector:
 _KIND_CODE = {name: code for code, name in enumerate(ALL_KINDS)}
 
 
+class BusColumns(NamedTuple):
+    """State columns of one bus per row of a group (for flows, one terminal).
+
+    `vm` is the magnitude column of each row's bus (its position). Rows whose
+    bus is the slack have no angle column: `keep` marks the others, `rows`
+    are their layout rows and `va` their angle columns.
+    """
+
+    vm: np.ndarray
+    keep: np.ndarray
+    rows: np.ndarray
+    va: np.ndarray
+
+
+class NormalPattern(NamedTuple):
+    """Where H may be nonzero, and which products H' W H sums.
+
+    `entries` are flat positions in the m x n_state Jacobian, sorted by row
+    and, within a row, by column; `rows` is the row of each entry. Each pair
+    (first, second) of entries in one row, second's column not left of
+    first's, adds to the upper-triangle position `target` of the n_state x
+    n_state normal matrix, as a flat index.
+    """
+
+    entries: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    target: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Layout:
     """A validated measurement layout, compiled once and reused as is.
 
-    `groups` maps each kind family present to its row positions and its bus
-    or branch indices. A layout fits every network with n_bus buses and
-    n_branch branches.
+    `kinds` is the sequence it was compiled from. `groups` maps each kind
+    family present to its row positions and its bus or branch indices;
+    `columns` maps va to the BusColumns of its buses and each flow family to
+    those of its from and to terminals. A layout fits the networks with the
+    slack bus and branch endpoints (`f_idx`, `t_idx`) it was compiled for.
     """
 
+    kinds: tuple
     m: int
     n_bus: int
     n_branch: int
+    slack: int
+    f_idx: np.ndarray
+    t_idx: np.ndarray
     groups: dict
+    columns: dict
+
+    @cached_property
+    def pattern(self) -> NormalPattern:
+        """The Jacobian's sparsity pattern, built on first use.
+
+        It follows from the groups and the topology, never from the values
+        at one state (some derivatives are exactly zero at a flat start): a
+        vm or va row touches its bus's column, a flow row the columns of its
+        two terminals, and an injection row those of its bus and every bus
+        a branch joins to it. Each row lists a column once, so parallel
+        branches count once.
+        """
+        nb, n = self.n_bus, 2 * self.n_bus - 1
+        adjacent = np.eye(nb, dtype=bool)
+        adjacent[self.f_idx, self.t_idx] = True
+        adjacent[self.t_idx, self.f_idx] = True
+        angle_col = nb + np.arange(nb) - (np.arange(nb) > self.slack)
+        rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for name, (group_rows, idx) in self.groups.items():
+            if name == "vm":
+                rows.append(group_rows)
+                cols.append(idx)
+            elif name in ("pinj", "qinj"):
+                at, bus = np.nonzero(adjacent[idx])
+                angle = bus != self.slack
+                rows += [group_rows[at], group_rows[at][angle]]
+                cols += [bus, angle_col[bus[angle]]]
+            else:
+                for bus in self.columns[name]:
+                    if name != "va":
+                        rows.append(group_rows)
+                        cols.append(bus.vm)
+                    rows.append(bus.rows)
+                    cols.append(bus.va)
+        # no position repeats: adjacency is boolean and a branch joins two buses
+        key = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
+        entry_rows, entry_cols = np.divmod(key, n)
+        # pair each entry with itself and every later entry of its row
+        count = np.bincount(entry_rows, minlength=self.m)
+        later = np.cumsum(count)[entry_rows] - np.arange(key.size)
+        first = np.repeat(np.arange(key.size), later)
+        second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        # indices stay intp: numpy converts narrower index arrays on every
+        # gather, which doubled the time of the product on case118
+        return NormalPattern(key, entry_rows, first, second,
+                             entry_cols[first] * n + entry_cols[second])
+
+    def check_kinds(self, kinds):
+        """Raise MeasurementError unless this layout was compiled from kinds."""
+        if self.kinds is not kinds and self.kinds != tuple(kinds):
+            raise MeasurementError("layout was compiled for other measurement kinds")
+
+
+def _check_topology(layout: Layout, network: Network):
+    if (layout.n_bus, layout.n_branch) != (network.n_bus, network.n_branch):
+        raise MeasurementError(
+            f"layout for {layout.n_bus} buses and {layout.n_branch} branches "
+            f"used with {network.n_bus} buses and {network.n_branch} branches"
+        )
+    same_ends = all(
+        mine is theirs or np.array_equal(mine, theirs)
+        for mine, theirs in ((layout.f_idx, network.f_idx), (layout.t_idx, network.t_idx))
+    )
+    if layout.slack != network.slack or not same_ends:
+        raise MeasurementError(
+            "layout compiled for a network with another slack bus or other branch endpoints"
+        )
 
 
 def compile_layout(network: Network, kinds) -> Layout:
@@ -164,15 +278,13 @@ def compile_layout(network: Network, kinds) -> Layout:
     Raises MeasurementError for the first faulty entry in layout order,
     checking at each position the kind, then the index range, then whether
     the entry repeats an earlier one. A Layout is returned unchanged when
-    its bus and branch counts match the network's.
+    it was compiled for the network's bus and branch counts, slack bus and
+    branch endpoints; otherwise MeasurementError is raised.
     """
     if isinstance(kinds, Layout):
-        if (kinds.n_bus, kinds.n_branch) != (network.n_bus, network.n_branch):
-            raise MeasurementError(
-                f"layout for {kinds.n_bus} buses and {kinds.n_branch} branches "
-                f"used with {network.n_bus} buses and {network.n_branch} branches"
-            )
+        _check_topology(kinds, network)
         return kinds
+    kinds = tuple(kinds)
     m = len(kinds)
     codes = np.array([_KIND_CODE.get(k.kind, -1) for k in kinds], dtype=int)
     index = np.array([k.index for k in kinds], dtype=int)
@@ -198,12 +310,26 @@ def compile_layout(network: Network, kinds) -> Layout:
         if not valid[i]:
             raise MeasurementError(f"{k.kind}[{k.index}] out of range")
         raise MeasurementError(f"duplicate measurement {k.kind}[{k.index}]")
-    groups = {}
+
+    def bus_columns(rows, buses):
+        keep = buses != network.slack
+        kept = buses[keep]
+        return BusColumns(buses, keep, rows[keep], network.n_bus + kept - (kept > network.slack))
+
+    groups, columns = {}, {}
     for code, name in enumerate(ALL_KINDS):
         rows = np.flatnonzero(codes == code)
-        if rows.size:
-            groups[name] = (rows, index[rows])
-    return Layout(m, network.n_bus, network.n_branch, groups)
+        if not rows.size:
+            continue
+        idx = index[rows]
+        groups[name] = (rows, idx)
+        if name == "va":
+            columns[name] = (bus_columns(rows, idx),)
+        elif name in BRANCH_KINDS:
+            columns[name] = (bus_columns(rows, network.f_idx[idx]),
+                             bus_columns(rows, network.t_idx[idx]))
+    return Layout(kinds, m, network.n_bus, network.n_branch, network.slack,
+                  network.f_idx, network.t_idx, groups, columns)
 
 
 def _branch_flows(network: Network, v: np.ndarray):
@@ -261,12 +387,6 @@ def _injection_derivatives(network: Network, v: np.ndarray):
     return ds_dvm, ds_dva
 
 
-def _angle_columns(network: Network, buses: np.ndarray):
-    """Mask of the non-slack entries of `buses` and their angle state columns."""
-    keep = buses != network.slack
-    return keep, network.n_bus + buses[keep] - (buses[keep] > network.slack)
-
-
 def eval_H(network: Network, state: StateVector, kinds) -> np.ndarray:
     """Measurement Jacobian (m x n) in the [vm, non-slack va] column order.
 
@@ -285,9 +405,8 @@ def eval_H(network: Network, state: StateVector, kinds) -> np.ndarray:
         rows, idx = groups["vm"]
         h_mat[rows, idx] = 1.0
     if "va" in groups:
-        rows, idx = groups["va"]
-        keep, cols = _angle_columns(network, idx)
-        h_mat[rows[keep], cols] = 1.0
+        (bus,) = layout.columns["va"]
+        h_mat[bus.rows, bus.va] = 1.0
 
     if "pinj" in groups or "qinj" in groups:
         ds_dvm, ds_dva = _injection_derivatives(network, v)
@@ -327,11 +446,11 @@ def eval_H(network: Network, state: StateVector, kinds) -> np.ndarray:
             if name not in groups:
                 continue
             rows, idx = groups[name]
-            h_mat[rows, f[idx]] = d_vmf[idx]
-            h_mat[rows, t[idx]] = d_vmt[idx]
-            for buses, d_va in ((f[idx], d_vaf[idx]), (t[idx], d_vat[idx])):
-                keep, cols = _angle_columns(network, buses)
-                h_mat[rows[keep], cols] = d_va[keep]
+            from_bus, to_bus = layout.columns[name]
+            h_mat[rows, from_bus.vm] = d_vmf[idx]
+            h_mat[rows, to_bus.vm] = d_vmt[idx]
+            for bus, d_va in ((from_bus, d_vaf[idx]), (to_bus, d_vat[idx])):
+                h_mat[bus.rows, bus.va] = d_va[bus.keep]
 
     return h_mat
 

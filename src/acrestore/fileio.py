@@ -8,7 +8,6 @@ never observe partial files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -23,7 +22,7 @@ from .acpf import (
     StateVector,
     compile_layout,
 )
-from .netmodel import Network, serialize_case
+from .netmodel import Network
 from .train import ScenarioRecord
 
 SOLUTION_SCHEMA = "acrestore-solution/1"
@@ -69,8 +68,8 @@ def read_json(path, expected_schema: str) -> dict:
 
 
 def network_hash(network: Network) -> str:
-    digest = hashlib.sha256(serialize_case(network).encode("utf-8")).hexdigest()
-    return f"sha256:{digest}"
+    """The network's case hash, which it computes once (`Network.case_hash`)."""
+    return network.case_hash
 
 
 def check_network_hash(payload: dict, network: Network, path):

@@ -9,11 +9,13 @@ after construction and safe to share between workers.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import importlib.resources
 import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -284,6 +286,14 @@ class Network:
             for b, p, q in zip(self.buses, p_load, q_load)
         )
         return Network(self.base_mva, buses, self.branches, self.generators, self.name)
+
+    @cached_property
+    def case_hash(self) -> str:
+        """SHA-256 of the canonical case text, computed on first use only:
+        the network is immutable, and scenario copies that are never written
+        or checked against a file never pay for it."""
+        digest = hashlib.sha256(serialize_case(self).encode("utf-8")).hexdigest()
+        return f"sha256:{digest}"
 
     def state_labels(self) -> list[str]:
         labels = [f"vm[bus {b.id}]" for b in self.buses]

@@ -11,17 +11,19 @@ rho * (H N^-1 D): one normal-equation solve with right-hand side
 matrix is the same product with D = I, transposed. When the converged
 residual is zero the sensitivity vanishes.
 
-N is factored by the normal-equation solver of `wls` (`solve_normal`), so
-an unobservable layout raises the same UnobservableError, naming the
-unobservable direction, as the restoration does. Like the restoration, each
-call validates and compiles its measurement layout once.
+N is formed over the layout's sparsity pattern and factored by the
+normal-equation solver of `wls` (`solve_normal`), so an unobservable layout
+raises the same UnobservableError, naming the unobservable direction, as
+the restoration does. Like the restoration, each call validates and
+compiles its measurement layout once, or takes the compiled layout of
+z.kinds as a precomputed input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .acpf import MeasurementSet, StateVector, compile_layout, eval_H, eval_h
+from .acpf import Layout, MeasurementSet, StateVector, compile_layout, eval_H, eval_h
 from .netmodel import Network
 from .wls import check_weights, solve_normal
 
@@ -32,20 +34,23 @@ def solution_sensitivity(
     weights: np.ndarray,
     x_r: StateVector,
     d: np.ndarray | None = None,
+    layout: Layout | None = None,
 ) -> np.ndarray:
     """Sensitivity S (n_state, m) at x_r, or its product S' d with d given.
 
     d is a state-space vector (n_state,) or matrix (n_state, k); the product
     has shape (m,) or (m, k). x_r must be a converged restoration for
     (z, weights); the result is homogeneous of degree -1 in the weights.
+    `layout` is the compiled layout of z.kinds, as for `wls_restore`.
     """
-    layout = compile_layout(network, z.kinds)
+    layout = compile_layout(network, z.kinds if layout is None else layout)
+    layout.check_kinds(z.kinds)
     weights = check_weights(weights, z.m)
     residual = z.values - eval_h(network, x_r, layout)
     h_mat = eval_H(network, x_r, layout)
     d_mat = np.eye(network.n_state) if d is None else np.asarray(d, dtype=float)
     rhs = np.column_stack([h_mat.T @ (weights * residual), d_mat])
-    solved = solve_normal(h_mat, weights, rhs, network)
+    solved = solve_normal(h_mat, weights, rhs, network, layout)
     projected = residual - h_mat @ solved[:, 0]
     product = projected[:, None] * (h_mat @ solved[:, 1:])
     if d is None:

@@ -8,9 +8,14 @@ by `solution_sensitivity` without forming S. `train_weights` warm-starts
 each record's restoration from the state it converged to on the previous
 Adam iteration; the first iteration, and a record skipped on the previous
 one, start flat, as does every restoration in `accumulate_gradient`.
-Per-record restorations are independent, so the gradient pass can fan out
-over threads; the reduction is performed in record order, making results
-identical in sequential and threaded runs.
+
+All records share one measurement layout, so a gradient pass compiles it
+once and hands the compiled layout to every restoration and sensitivity;
+its sparsity pattern, which the normal products sum over, is then built
+once per pass instead of once per call. Per-record restorations are
+independent, so the gradient pass can fan out over threads; the reduction
+is performed in record order, making results identical in sequential and
+threaded runs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acpf import MeasurementSet, StateVector
+from .acpf import MeasurementSet, StateVector, compile_layout
 from .netmodel import Network
 from .sens import solution_sensitivity
 from .wls import W_FLOOR, ConvergenceError, wls_restore
@@ -125,14 +130,16 @@ def loss(dataset: list[ScenarioRecord], restored: list[StateVector]) -> float:
     return total / denom
 
 
-def _restore_and_weigh(network, rec, weights, x0, tol, max_iter):
-    result = wls_restore(network, rec.z, weights, x0=x0, tol=tol, max_iter=max_iter)
+def _restore_and_weigh(network, rec, weights, x0, tol, max_iter, layout):
+    result = wls_restore(network, rec.z, weights, x0=x0, tol=tol, max_iter=max_iter,
+                         layout=layout)
     if not result.converged:
         raise ConvergenceError(
             f"restoration did not converge in {result.iterations} iterations"
         )
     mismatch = result.state.as_vector() - rec.x_ac.as_vector()
-    grad = solution_sensitivity(network, rec.z, weights, result.state, mismatch)
+    grad = solution_sensitivity(network, rec.z, weights, result.state, mismatch,
+                                layout=layout)
     return grad, result.state, result.iterations
 
 
@@ -153,14 +160,14 @@ def _gradient_pass(
     aborts. Contributions are reduced in record order so threaded and
     sequential runs agree exactly.
     """
-    check_layout(dataset)
+    layout = compile_layout(network, check_layout(dataset))
     starts = starts if starts is not None else [None] * len(dataset)
     per_record: list = [None] * len(dataset)
 
     def work(i):
         try:
             per_record[i] = _restore_and_weigh(
-                network, dataset[i], weights, starts[i], tol, max_iter
+                network, dataset[i], weights, starts[i], tol, max_iter, layout
             )
         except Exception as exc:  # noqa: BLE001 - any solver failure skips the record
             logger.warning("record %d skipped: %s", dataset[i].index, exc)

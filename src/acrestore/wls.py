@@ -2,11 +2,17 @@
 
 Finds the voltage state whose modeled measurements best match a tagged
 measurement vector under positive diagonal weights. `solve_normal` is the
-package's one normal-equation routine, shared with the weight sensitivity:
-it Jacobi-scales H' W H, lets a numpy Cholesky factorization decide
-observability, and solves each right-hand side with numpy only. Each
-restoration validates and compiles its measurement layout once and passes
-the compiled layout to every evaluation of h and H.
+package's one normal-equation routine, shared with the weight sensitivity.
+It forms N = H' W H over the sparsity pattern of the compiled layout
+(`normal_matrix`): it gathers H at the pattern's entries and sums
+w h_a h_b for every pair of entries in one row into the upper triangle of
+N with `np.bincount`, so the work follows the Jacobian's nonzeros, not
+m x n x n. It then Jacobi-scales N, lets a numpy Cholesky factorization
+decide observability, and solves each right-hand side with numpy only.
+
+Each restoration validates and compiles its measurement layout once, or
+takes the compiled layout of z.kinds as a precomputed input, and passes it
+to every evaluation of h and H and to every normal-equation solve.
 """
 
 from __future__ import annotations
@@ -15,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acpf import MeasurementSet, StateVector, compile_layout, eval_H, eval_h
+from .acpf import (
+    Layout,
+    MeasurementError,
+    MeasurementSet,
+    StateVector,
+    compile_layout,
+    eval_H,
+    eval_h,
+)
 from .netmodel import Network
 
 W_FLOOR = 1e-8
@@ -53,17 +67,42 @@ def check_weights(weights: np.ndarray, m: int) -> np.ndarray:
     return weights
 
 
+def normal_matrix(h_mat: np.ndarray, weights: np.ndarray, layout: Layout) -> np.ndarray:
+    """H' W H summed over the sparsity pattern of the compiled layout.
+
+    Entries of H outside the pattern are zero at every state, so only the
+    pattern's entries are read: w h_a h_b for every pair of entries in one
+    row, summed into the upper triangle, which is then mirrored.
+    """
+    n = 2 * layout.n_bus - 1
+    if h_mat.shape != (layout.m, n):
+        raise MeasurementError(
+            f"{h_mat.shape[0]} x {h_mat.shape[1]} Jacobian for a layout of "
+            f"{layout.m} rows and {n} states"
+        )
+    pattern = layout.pattern
+    values = h_mat.take(pattern.entries)
+    weighted = values * weights[pattern.rows]
+    upper = np.bincount(pattern.target, weighted[pattern.first] * values[pattern.second],
+                        minlength=n * n).reshape(n, n)
+    normal = upper + upper.T
+    np.fill_diagonal(normal, upper.diagonal())
+    return normal
+
+
 def solve_normal(h_mat: np.ndarray, weights: np.ndarray, rhs: np.ndarray,
-                 network: Network) -> np.ndarray:
+                 network: Network, layout: Layout) -> np.ndarray:
     """Solve (H' W H) x = rhs for a vector or a matrix right-hand side.
 
-    The normal matrix is Jacobi-scaled to unit diagonal, and its Cholesky
-    factorization decides observability. A failed factorization always
-    raises UnobservableError, naming the unobservable direction; so does a
-    smallest pivot squared at or below 1e-12, an upper bound on the smallest
-    eigenvalue.
+    H is the Jacobian of the compiled `layout` for the network, and the
+    normal matrix is formed over the layout's pattern (`normal_matrix`). It
+    is Jacobi-scaled to unit diagonal, and its Cholesky factorization
+    decides observability. A failed factorization always raises
+    UnobservableError, naming the unobservable direction; so does a
+    smallest pivot squared at or below 1e-12, an upper bound on the
+    smallest eigenvalue.
     """
-    normal = (h_mat * weights[:, None]).T @ h_mat
+    normal = normal_matrix(h_mat, weights, layout)
     diag = np.diag(normal).copy()
     singular = diag <= 0.0
     if singular.any():
@@ -97,6 +136,7 @@ def wls_restore(
     tol: float = 1e-8,
     max_iter: int = 50,
     keep_iterates: bool = False,
+    layout: Layout | None = None,
 ) -> WlsResult:
     """Iterate Gauss-Newton steps on the weighted least squares objective.
 
@@ -105,8 +145,13 @@ def wls_restore(
     the result flag rather than raised. The step direction is invariant to
     uniform scaling of the weights; a step that inflates the objective by
     more than 10x is halved (at most 5 times) before being applied.
+
+    `layout` is the compiled layout of z.kinds, when the caller has one;
+    it is compiled here otherwise. A layout compiled for other kinds or
+    another topology raises MeasurementError.
     """
-    layout = compile_layout(network, z.kinds)
+    layout = compile_layout(network, z.kinds if layout is None else layout)
+    layout.check_kinds(z.kinds)
     weights = check_weights(weights, z.m)
     if z.m < network.n_state:
         raise UnobservableError(
@@ -129,7 +174,7 @@ def wls_restore(
     for iterations in range(1, max_iter + 1):
         h_mat = eval_H(network, state, layout)
         grad = h_mat.T @ (weights * residual)
-        step = solve_normal(h_mat, weights, grad, network)
+        step = solve_normal(h_mat, weights, grad, network, layout)
 
         x_vec = state.as_vector()
         candidate = None

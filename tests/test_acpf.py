@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -22,13 +23,14 @@ from acrestore import (
 from acrestore import wls_restore
 from acrestore.acpf import (
     ALL_KINDS,
+    BRANCH_KINDS,
     BUS_KINDS,
     Layout,
     MeasurementError,
     PowerFlowError,
     compile_layout,
 )
-from acrestore.netmodel import PQ, PV, SLACK
+from acrestore.netmodel import PQ, PV, SLACK, Network
 from conftest import fd_jacobian, perturbed_state
 
 
@@ -362,6 +364,85 @@ def test_layout_fits_networks_of_its_shape_only(case5, case14):
     for evaluate in (eval_h, eval_H):
         with pytest.raises(MeasurementError, match="layout for 5 buses and 6 branches"):
             evaluate(case14, StateVector.flat(case14), layout)
+
+
+def rewired(network, branch, from_bus):
+    """The network with one branch moved to another from bus: same bus and
+    branch counts, other wiring."""
+    branches = list(network.branches)
+    branches[branch] = dataclasses.replace(branches[branch], from_bus=from_bus)
+    return Network(network.base_mva, network.buses, tuple(branches), network.generators)
+
+
+def test_layout_fits_its_topology_only(case5):
+    layout = compile_layout(case5, canonical_kinds(case5))
+    # branch 4-5 becomes 2-5; bus 5 stays connected through branch 1-5
+    moved = rewired(case5, 5, 2)
+    assert (moved.n_bus, moved.n_branch) == (case5.n_bus, case5.n_branch)
+    state = StateVector.flat(case5)
+    for evaluate in (eval_h, eval_H):
+        with pytest.raises(MeasurementError, match="other branch endpoints"):
+            evaluate(moved, state, layout)
+    # reusing the layout would have dropped the terms of the new wiring
+    kinds = canonical_kinds(moved)
+    assert not np.array_equal(compile_layout(moved, kinds).pattern.entries,
+                              layout.pattern.entries)
+
+
+def pattern_layouts(network, rng):
+    """The canonical layout, and permuted partial ones that keep flows on
+    every branch at the slack bus."""
+    kinds = canonical_kinds(network)
+    yield kinds
+    slack_branches = set(np.flatnonzero((network.f_idx == network.slack)
+                                        | (network.t_idx == network.slack)))
+    assert slack_branches
+    for share in (0.5, 0.3):
+        keep = rng.permutation(len(kinds))[: int(share * len(kinds))]
+        subset = [kinds[i] for i in keep]
+        subset += [k for k in kinds if k.kind in BRANCH_KINDS and k.index in slack_branches
+                   and k not in subset]
+        yield [subset[i] for i in rng.permutation(len(subset))]
+
+
+@pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])
+def test_jacobian_nonzeros_lie_in_the_pattern(name, request):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(37)
+    states = [StateVector.flat(network)] + [perturbed_state(network, rng) for _ in range(2)]
+    for kinds in pattern_layouts(network, rng):
+        layout = compile_layout(network, kinds)
+        pattern = layout.pattern
+        n = network.n_state
+        # entries are sorted by row, then column, and each appears once
+        assert np.all(np.diff(pattern.entries) > 0)
+        assert np.array_equal(pattern.rows, pattern.entries // n)
+        inside = np.zeros(layout.m * n, dtype=bool)
+        inside[pattern.entries] = True
+        for state in states:
+            nonzero = eval_H(network, state, layout).ravel() != 0.0
+            assert not np.any(nonzero & ~inside), (name, len(kinds))
+        # the pairs are the upper triangle of each row's entries
+        first, second = pattern.entries[pattern.first], pattern.entries[pattern.second]
+        assert np.array_equal(first // n, second // n)
+        assert np.all(first % n <= second % n)
+        sizes = np.bincount(pattern.rows, minlength=layout.m)
+        assert pattern.first.size == int((sizes * (sizes + 1) // 2).sum())
+        assert np.array_equal(pattern.target, (first % n) * n + second % n)
+
+
+def test_parallel_branches_count_once(case5):
+    # a second branch 1-2 next to branch 0: injection rows at buses 1 and 2
+    # must list each other's columns once
+    doubled = Network(case5.base_mva, case5.buses, case5.branches + (case5.branches[0],),
+                      case5.generators)
+    kinds = canonical_kinds(doubled)
+    pattern = compile_layout(doubled, kinds).pattern
+    assert np.all(np.diff(pattern.entries) > 0)
+    base = compile_layout(case5, canonical_kinds(case5)).pattern
+    row = kinds.index(MeasurementKind("pinj", 0))
+    assert np.array_equal(pattern.entries[pattern.rows == row] % doubled.n_state,
+                          base.entries[base.rows == row] % case5.n_state)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,10 +10,12 @@ from acrestore import (
     benchmark_restore,
     canonical_kinds,
     eval_h,
+    load_bundled_case,
     newton_pf,
     operating_point,
+    serialize_case,
 )
-from acrestore import fileio
+from acrestore import fileio, netmodel
 from acrestore.acpf import MeasurementError
 from acrestore.fileio import (
     FormatError,
@@ -146,6 +149,28 @@ def test_network_hash_distinguishes_cases(case5, case14, two_bus):
     hashes = {network_hash(case5), network_hash(case14), network_hash(two_bus)}
     assert len(hashes) == 3
     assert all(h.startswith("sha256:") for h in hashes)
+
+
+def test_network_hash_is_computed_once(monkeypatch, tmp_path):
+    network = load_bundled_case("case5")
+    fresh = "sha256:" + hashlib.sha256(serialize_case(network).encode("utf-8")).hexdigest()
+    calls = []
+    serialize = netmodel.serialize_case
+
+    def counting(net):
+        calls.append(net)
+        return serialize(net)
+
+    monkeypatch.setattr(netmodel, "serialize_case", counting)
+    assert network_hash(network) == fresh
+    sol = SolutionFile(formulation="flat", vm=np.ones(network.n_bus))
+    write_solution(tmp_path / "s.json", network, sol)
+    read_solution(tmp_path / "s.json", network)
+    assert network_hash(network) == fresh
+    assert calls == [network]
+    heavier = network.with_loads(network.p_load * 1.1, network.q_load)
+    assert network_hash(heavier) != fresh
+    assert calls == [network, heavier]
 
 
 def test_atomic_write_no_partial_on_error(tmp_path):

@@ -281,13 +281,22 @@ def test_import_leaves_lp_solver_modules_unloaded():
     # scipy.optimize and scipy.sparse are imported on the first solve only:
     # importing them costs ~0.3 s and ~20 MB, which every process that never
     # solves an LP would pay. The estimator and its sensitivity use numpy
-    # only, so no scipy module at all may load before that first solve.
+    # only, so no scipy module at all may load before that first solve, not
+    # at import and not lazily during a restoration and a sensitivity.
     src = os.path.dirname(os.path.dirname(acrestore.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import acrestore, acrestore.lpac, acrestore.scenarios, acrestore.cli; "
             "import sys; assert 'scipy.optimize' not in sys.modules; "
             "assert 'scipy.sparse' not in sys.modules; "
+            "from acrestore import (MeasurementSet, canonical_kinds, eval_h, "
+            "load_bundled_case, newton_pf, solution_sensitivity, wls_restore); "
+            "from acrestore.scenarios import dispatch_spec; "
+            "net = load_bundled_case('case14'); kinds = canonical_kinds(net); "
+            "values = eval_h(net, newton_pf(net, dispatch_spec(net)), kinds); "
+            "z = MeasurementSet(kinds, values * 1.001); weights = [1e3] * z.m; "
+            "result = wls_restore(net, z, weights); assert result.converged; "
+            "solution_sensitivity(net, z, weights, result.state, values[:net.n_state]); "
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
             "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -11,6 +11,7 @@ from acrestore import (
     solution_sensitivity,
     wls_restore,
 )
+from acrestore.acpf import compile_layout
 from acrestore.wls import solve_normal
 from conftest import perturbed_state
 from test_wls import two_bus_oracle_problem
@@ -175,7 +176,7 @@ def explicit_sensitivity(network, z, weights, x_r):
     right-hand side per measurement. The reference for the product form."""
     residual = z.values - eval_h(network, x_r, z.kinds)
     h_mat = eval_H(network, x_r, z.kinds)
-    a_mat = solve_normal(h_mat, weights, h_mat.T, network)
+    a_mat = solve_normal(h_mat, weights, h_mat.T, network, compile_layout(network, z.kinds))
     projected = residual - h_mat @ (a_mat @ (weights * residual))
     return a_mat * projected[None, :]
 

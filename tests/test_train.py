@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acrestore import MeasurementSet, canonical_kinds, eval_h, train, wls_restore
+from acrestore import MeasurementSet, acpf, canonical_kinds, eval_h, sens, train, wls, wls_restore
 from acrestore.train import (
     ScenarioRecord,
     TrainConfig,
@@ -262,6 +262,38 @@ def test_sequential_and_threaded_agree(case5):
     w_par, trace_par = train_weights(case5, records, cfg_par)
     assert w_par == pytest.approx(w_seq, abs=0)
     assert trace_par.loss == pytest.approx(trace_seq.loss, abs=1e-12)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gradient_pass_compiles_its_layout_once(case5, monkeypatch, threads):
+    rng = np.random.default_rng(15)
+    records = [make_record(case5, rng, noise_std=2e-3, index=i) for i in range(6)]
+    w = default_initial_weights(records[0].z.kinds)
+    expected = accumulate_gradient(case5, records, w)
+
+    compiled, handed = [], []
+    compile_layout = acpf.compile_layout
+
+    def counting(network, layout):
+        if not isinstance(layout, acpf.Layout):
+            compiled.append(len(layout))
+        return compile_layout(network, layout)
+
+    def receiving(solver):
+        def call(*args, layout=None, **kwargs):
+            handed.append(layout)
+            return solver(*args, layout=layout, **kwargs)
+        return call
+
+    for module in (acpf, wls, sens, train):
+        monkeypatch.setattr(module, "compile_layout", counting)
+    monkeypatch.setattr(train, "wls_restore", receiving(train.wls_restore))
+    monkeypatch.setattr(train, "solution_sensitivity", receiving(train.solution_sensitivity))
+    grad = accumulate_gradient(case5, records, w, threads=threads)
+    assert np.array_equal(grad, expected)
+    assert compiled == [len(records[0].z.kinds)]
+    assert len(handed) == 2 * len(records)
+    assert isinstance(handed[0], acpf.Layout) and all(layout is handed[0] for layout in handed)
 
 
 def test_determinism_same_seed(case5):

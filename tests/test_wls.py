@@ -266,3 +266,79 @@ def test_each_solve_compiles_its_layout_once(case14, monkeypatch, solver):
     else:
         solution_sensitivity(case14, z, weights, x_r)
     assert compiled == [len(kinds)]
+
+
+# ---------------------------------------------------------------------------
+# the normal product over the layout's pattern
+# ---------------------------------------------------------------------------
+
+
+def dense_normal(h_mat, weights, layout):
+    """The reference the pattern product replaces: H' W H, dense."""
+    return (h_mat * weights[:, None]).T @ h_mat
+
+
+@pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])
+def test_normal_matrix_matches_dense_product(name, request):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(41)
+    kinds = canonical_kinds(network)
+    partial = [kinds[i] for i in rng.permutation(len(kinds))[: len(kinds) // 2]]
+    for layout_kinds in (kinds, partial):
+        layout = acpf.compile_layout(network, layout_kinds)
+        for state in (StateVector.flat(network), perturbed_state(network, rng)):
+            h_mat = acpf.eval_H(network, state, layout)
+            weights = 10.0 ** rng.uniform(-8, 0, layout.m)
+            normal = wls.normal_matrix(h_mat, weights, layout)
+            reference = dense_normal(h_mat, weights, layout)
+            assert np.array_equal(normal, normal.T)
+            # measured 1.8e-16 (case57) and 1.9e-16 (case118)
+            assert np.abs(normal - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def noisy_restore_problem(network, seed):
+    rng = np.random.default_rng(seed)
+    kinds = canonical_kinds(network)
+    truth = perturbed_state(network, rng)
+    noise = np.array([rng.normal(0, 1e-4 if k.is_voltage() else 1e-3) for k in kinds])
+    z = MeasurementSet(kinds, eval_h(network, truth, kinds) + noise)
+    return z, 10.0 ** rng.uniform(2, 5, z.m)
+
+
+@pytest.mark.parametrize("name", ["case14", "case57"])
+def test_gauss_newton_iterations_match_dense_reference(name, request, monkeypatch):
+    network = request.getfixturevalue(name)
+    problems = [noisy_restore_problem(network, seed) for seed in (43, 44, 45)]
+    runs = [wls_restore(network, z, weights, tol=1e-10) for z, weights in problems]
+    monkeypatch.setattr(wls, "normal_matrix", dense_normal)
+    for (z, weights), result in zip(problems, runs):
+        reference = wls_restore(network, z, weights, tol=1e-10)
+        assert result.converged and reference.converged
+        assert result.iterations == reference.iterations
+        assert len(result.objective_trace) == len(reference.objective_trace)
+        assert np.allclose(result.state.as_vector(), reference.state.as_vector(),
+                           rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("solver", ["wls_restore", "solution_sensitivity"])
+def test_given_layout_must_belong_to_z_and_network(case5, case14, solver):
+    rng = np.random.default_rng(47)
+    kinds = canonical_kinds(case5)
+    z = MeasurementSet(kinds, eval_h(case5, perturbed_state(case5, rng), kinds))
+    weights = np.full(z.m, 1e3)
+    x_r = wls_restore(case5, z, weights).state
+
+    def run(layout):
+        if solver == "wls_restore":
+            return wls_restore(case5, z, weights, layout=layout).state.as_vector()
+        return solution_sensitivity(case5, z, weights, x_r, layout=layout)
+
+    assert np.array_equal(run(acpf.compile_layout(case5, kinds)), run(None))
+    swapped = list(kinds)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    with pytest.raises(acpf.MeasurementError, match="other measurement kinds"):
+        run(acpf.compile_layout(case5, swapped))
+    with pytest.raises(acpf.MeasurementError, match="other measurement kinds"):
+        run(acpf.compile_layout(case5, kinds[:-1]))
+    with pytest.raises(acpf.MeasurementError, match="layout for 14 buses"):
+        run(acpf.compile_layout(case14, canonical_kinds(case14)))
