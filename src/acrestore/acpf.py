@@ -9,16 +9,22 @@ per-unit and radians.
 A measurement layout is a sequence of MeasurementKind. `compile_layout`
 validates one once into a Layout: its rows grouped by kind family, with the
 magnitude and angle state columns of every row's buses, and the topology
-(slack bus, branch endpoints) it was compiled for. `eval_h` and `eval_H`
-take either a sequence, compiled on each call, or a Layout, used as is;
-`eval_H` writes each derivative straight into its state column.
+(slack bus, branch endpoints) it was compiled for. `eval_h`,
+`jacobian_values` and `eval_H` take either a sequence, compiled on each
+call, or a Layout, used as is.
 
-A Layout also carries the sparsity pattern of its Jacobian, the positions
-the topology allows to be nonzero at any state, and the pairs of entries
-that share a row, which is what the normal product H' W H sums over. The
-pattern is built on first use, so a layout that only evaluates h never
-pays for it. Everything here is a pure function of the (immutable)
-network, a state and a layout, so concurrent use is safe.
+A Layout also carries the sparsity pattern of its Jacobian: the positions
+the topology allows to be nonzero at any state, where each one's value
+comes from, and the pairs of entries that share a row, which is what the
+normal product H' W H sums over. The pattern is built on first use, so a
+layout that only evaluates h never pays for it. The Jacobian is carried as
+its values at the pattern's entries: `jacobian_values` computes them from
+per-bus-pair injection and per-branch flow derivatives, so its work
+follows the nonzeros, and `jacobian_product` and
+`jacobian_transpose_product` multiply with it by `np.bincount`. `eval_H` is
+the dense m x n view, those values scattered into zeros. Everything here
+is a pure function of the (immutable) network, a state and a layout, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -132,13 +138,16 @@ class StateVector:
         return 2 * self.vm.size - 1
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.vm, np.delete(self.va, self.slack)])
+        return np.concatenate((self.vm, self.va[:self.slack], self.va[self.slack + 1:]))
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, slack: int) -> "StateVector":
         vec = np.asarray(vec, dtype=float)
         nb = (vec.size + 1) // 2
-        va = np.insert(vec[nb:], slack, 0.0)
+        va = np.empty(nb)
+        va[:slack] = vec[nb:nb + slack]
+        va[slack] = 0.0
+        va[slack + 1:] = vec[nb + slack:]
         return cls(vec[:nb].copy(), va, slack)
 
     @classmethod
@@ -166,18 +175,32 @@ class BusColumns(NamedTuple):
     va: np.ndarray
 
 
-class NormalPattern(NamedTuple):
-    """Where H may be nonzero, and which products H' W H sums.
+class JacobianPattern(NamedTuple):
+    """Where H may be nonzero, where its values come from, and which
+    products H' W H sums.
 
     `entries` are flat positions in the m x n_state Jacobian, sorted by row
-    and, within a row, by column; `rows` is the row of each entry. Each pair
-    (first, second) of entries in one row, second's column not left of
-    first's, adds to the upper-triangle position `target` of the n_state x
-    n_state normal matrix, as a flat index.
+    and, within a row, by column; `rows` and `cols` are the row and column
+    of each entry. `source` is where each entry's value lies in the real
+    view of the derivative pool `jacobian_values` fills, whose complex
+    elements are: 1 (the vm and va rows), dS/dvm then dS/dva of the bus
+    injections at each bus pair (`pair_bus`, `pair_other`; `diagonal` marks
+    each bus's pair with itself, in bus order), then the eight per-branch
+    flow derivatives dS_side/d(vm_f, vm_t, va_f, va_t), from side first.
+    The bus pairs are every pair a branch joins plus each bus with itself
+    when the layout has injection rows, none otherwise. Each pair (first,
+    second) of entries in one row, second's column not left of first's,
+    adds to the upper-triangle position `target` of the n_state x n_state
+    normal matrix, as a flat index.
     """
 
     entries: np.ndarray
     rows: np.ndarray
+    cols: np.ndarray
+    source: np.ndarray
+    pair_bus: np.ndarray
+    pair_other: np.ndarray
+    diagonal: np.ndarray
     first: np.ndarray
     second: np.ndarray
     target: np.ndarray
@@ -205,7 +228,7 @@ class Layout:
     columns: dict
 
     @cached_property
-    def pattern(self) -> NormalPattern:
+    def pattern(self) -> JacobianPattern:
         """The Jacobian's sparsity pattern, built on first use.
 
         It follows from the groups and the topology, never from the values
@@ -216,29 +239,49 @@ class Layout:
         branches count once.
         """
         nb, n = self.n_bus, 2 * self.n_bus - 1
-        adjacent = np.eye(nb, dtype=bool)
-        adjacent[self.f_idx, self.t_idx] = True
-        adjacent[self.t_idx, self.f_idx] = True
         angle_col = nb + np.arange(nb) - (np.arange(nb) > self.slack)
-        rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        if "pinj" in self.groups or "qinj" in self.groups:
+            pair_bus, pair_other, diagonal = _bus_pairs(nb, self.f_idx, self.t_idx)
+        else:
+            pair_bus = pair_other = diagonal = np.empty(0, np.intp)
+        n_pairs = pair_bus.size
+        flow_offset = 1 + 2 * n_pairs
+        # pool element -> real-view position: 2 * element (+1 for the imaginary part)
+        rows, cols, source = ([np.empty(0, np.intp)] for _ in range(3))
+
+        def add(entry_rows, entry_cols, element, imag):
+            rows.append(entry_rows)
+            cols.append(entry_cols)
+            source.append(2 * element + imag)
+
         for name, (group_rows, idx) in self.groups.items():
+            imag = int(name in ("qinj", "qf", "qt"))
             if name == "vm":
-                rows.append(group_rows)
-                cols.append(idx)
+                add(group_rows, idx, np.zeros_like(idx), 0)
             elif name in ("pinj", "qinj"):
-                at, bus = np.nonzero(adjacent[idx])
+                # the pairs of each row's bus, a contiguous run since pairs are row-major
+                start = np.searchsorted(pair_bus, idx)
+                count = np.searchsorted(pair_bus, idx, side="right") - start
+                at = np.repeat(np.arange(idx.size), count)
+                pair = np.arange(at.size) + np.repeat(start - np.cumsum(count) + count, count)
+                bus = pair_other[pair]
                 angle = bus != self.slack
-                rows += [group_rows[at], group_rows[at][angle]]
-                cols += [bus, angle_col[bus[angle]]]
+                add(group_rows[at], bus, 1 + pair, imag)
+                add(group_rows[at][angle], angle_col[bus[angle]], 1 + n_pairs + pair[angle], imag)
+            elif name == "va":
+                (bus,) = self.columns[name]
+                add(bus.rows, bus.va, np.zeros_like(bus.va), 0)
             else:
-                for bus in self.columns[name]:
-                    if name != "va":
-                        rows.append(group_rows)
-                        cols.append(bus.vm)
-                    rows.append(bus.rows)
-                    cols.append(bus.va)
-        # no position repeats: adjacency is boolean and a branch joins two buses
-        key = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
+                # the pool holds the from side's four derivatives, then the to side's
+                side = flow_offset + 4 * self.n_branch * (name in ("pt", "qt"))
+                for terminal, bus in enumerate(self.columns[name]):
+                    vm_at = side + terminal * self.n_branch
+                    add(group_rows, bus.vm, vm_at + idx, imag)
+                    add(bus.rows, bus.va, vm_at + 2 * self.n_branch + idx[bus.keep], imag)
+        # no position repeats: each bus pair is listed once and a branch joins two buses
+        key = np.concatenate(rows) * n + np.concatenate(cols)
+        order = np.argsort(key)
+        key = key[order]
         entry_rows, entry_cols = np.divmod(key, n)
         # pair each entry with itself and every later entry of its row
         count = np.bincount(entry_rows, minlength=self.m)
@@ -247,13 +290,26 @@ class Layout:
         second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
         # indices stay intp: numpy converts narrower index arrays on every
         # gather, which doubled the time of the product on case118
-        return NormalPattern(key, entry_rows, first, second,
-                             entry_cols[first] * n + entry_cols[second])
+        return JacobianPattern(key, entry_rows, entry_cols, np.concatenate(source)[order],
+                               pair_bus, pair_other, diagonal,
+                               first, second, entry_cols[first] * n + entry_cols[second])
 
     def check_kinds(self, kinds):
         """Raise MeasurementError unless this layout was compiled from kinds."""
         if self.kinds is not kinds and self.kinds != tuple(kinds):
             raise MeasurementError("layout was compiled for other measurement kinds")
+
+
+def _bus_pairs(n_bus: int, f_idx: np.ndarray, t_idx: np.ndarray):
+    """Each bus with itself and every bus a branch joins to it, once each
+    and row-major: (bus, other, diagonal), where `diagonal` indexes each
+    bus's pair with itself, in bus order. These are the positions where the
+    bus admittance matrix may be nonzero."""
+    adjacent = np.eye(n_bus, dtype=bool)
+    adjacent[f_idx, t_idx] = True
+    adjacent[t_idx, f_idx] = True
+    bus, other = np.nonzero(adjacent)
+    return bus, other, np.flatnonzero(bus == other)
 
 
 def _check_topology(layout: Layout, network: Network):
@@ -375,84 +431,88 @@ def eval_h(network: Network, state: StateVector, kinds) -> np.ndarray:
     return out
 
 
-def _injection_derivatives(network: Network, v: np.ndarray):
-    """dS/dvm and dS/dva for all bus injections, dense n_bus x n_bus."""
+def _injection_derivatives(network: Network, v: np.ndarray, bus: np.ndarray,
+                           other: np.ndarray, diagonal: np.ndarray):
+    """dS/dvm and dS/dva of the bus injections at the bus pairs (bus, other):
+    the injection at `bus` by the voltage at `other`. `diagonal` indexes the
+    pair of each bus with itself, in bus order."""
+    y = network.ybus[bus, other]
+    v_bus = v[bus]
     i_inj = network.ybus @ v
     v_norm = np.exp(1j * np.angle(v))
-    ds_dvm = (v[:, None] * np.conj(network.ybus * v_norm[None, :]))
-    ds_dvm[np.diag_indices_from(ds_dvm)] += np.conj(i_inj) * v_norm
-    ds_dva = 1j * v[:, None] * np.conj(
-        np.diag(i_inj) - network.ybus * v[None, :]
-    )
-    return ds_dvm, ds_dva
+    ds_dvm = v_bus * np.conj(y * v_norm[other])
+    ds_dvm[diagonal] += np.conj(i_inj) * v_norm
+    own = np.zeros(bus.size, dtype=complex)
+    own[diagonal] = i_inj
+    return ds_dvm, 1j * v_bus * np.conj(own - y * v[other])
+
+
+def jacobian_values(network: Network, state: StateVector, kinds) -> np.ndarray:
+    """The measurement Jacobian at the entries of its layout's pattern.
+
+    `kinds` is a sequence of MeasurementKind or a compiled Layout, as for
+    `eval_h`. Returns H at `layout.pattern.entries`, in pattern order. The
+    work follows the pattern: injection derivatives are taken at the bus
+    pairs a branch joins (and each bus with itself), flow derivatives per
+    branch, and each value is read from that pool at the entry's `source`.
+    """
+    layout = compile_layout(network, kinds)
+    pattern = layout.pattern
+    v = state.voltages()
+    pool = [np.ones(1, dtype=complex)]
+    if pattern.pair_bus.size:
+        pool += _injection_derivatives(network, v, pattern.pair_bus, pattern.pair_other,
+                                       pattern.diagonal)
+    if any(name in layout.groups for name in BRANCH_KINDS):
+        f, t = network.f_idx, network.t_idx
+        v_norm = np.exp(1j * state.va)
+        vf, vt = v[f], v[t]
+        i_from = network.y_ff * vf + network.y_ft * vt
+        i_to = network.y_tf * vf + network.y_tt * vt
+        pool += [
+            # from side: d/dvm_f, d/dvm_t, d/dva_f, d/dva_t
+            v_norm[f] * np.conj(i_from) + vf * np.conj(network.y_ff) * np.conj(v_norm[f]),
+            vf * np.conj(network.y_ft) * np.conj(v_norm[t]),
+            1j * (vf * np.conj(i_from) - vf * np.conj(network.y_ff * vf)),
+            -1j * vf * np.conj(network.y_ft * vt),
+            # to side, in the same order
+            vt * np.conj(network.y_tf) * np.conj(v_norm[f]),
+            v_norm[t] * np.conj(i_to) + vt * np.conj(network.y_tt) * np.conj(v_norm[t]),
+            -1j * vt * np.conj(network.y_tf * vf),
+            1j * (vt * np.conj(i_to) - vt * np.conj(network.y_tt * vt)),
+        ]
+    return np.concatenate(pool).view(float).take(pattern.source)
 
 
 def eval_H(network: Network, state: StateVector, kinds) -> np.ndarray:
     """Measurement Jacobian (m x n) in the [vm, non-slack va] column order.
 
     `kinds` is a sequence of MeasurementKind or a compiled Layout, as for
-    `eval_h`. Derivatives with respect to the slack angle are dropped, so a
+    `eval_h`. This is the dense view of `jacobian_values`, scattered into
+    zeros. Derivatives with respect to the slack angle are dropped, so a
     va row of the slack bus is all zeros.
     """
     layout = compile_layout(network, kinds)
-    groups = layout.groups
-    nb = network.n_bus
-    v = state.voltages()
-    v_norm = np.exp(1j * state.va)
-    h_mat = np.zeros((layout.m, network.n_state))
+    h_mat = np.zeros(layout.m * network.n_state)
+    h_mat[layout.pattern.entries] = jacobian_values(network, state, layout)
+    return h_mat.reshape(layout.m, network.n_state)
 
-    if "vm" in groups:
-        rows, idx = groups["vm"]
-        h_mat[rows, idx] = 1.0
-    if "va" in groups:
-        (bus,) = layout.columns["va"]
-        h_mat[bus.rows, bus.va] = 1.0
 
-    if "pinj" in groups or "qinj" in groups:
-        ds_dvm, ds_dva = _injection_derivatives(network, v)
-        non_slack = np.flatnonzero(np.arange(nb) != network.slack)
-        if "pinj" in groups:
-            rows, idx = groups["pinj"]
-            h_mat[rows, :nb] = ds_dvm[idx].real
-            h_mat[rows, nb:] = ds_dva[np.ix_(idx, non_slack)].real
-        if "qinj" in groups:
-            rows, idx = groups["qinj"]
-            h_mat[rows, :nb] = ds_dvm[idx].imag
-            h_mat[rows, nb:] = ds_dva[np.ix_(idx, non_slack)].imag
+def jacobian_product(layout: Layout, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H X from the Jacobian's pattern values, for X of shape (n_state, k):
+    one bincount over (entry row, column of X) slots, each row summing its
+    entries in pattern order."""
+    pattern = layout.pattern
+    k = x.shape[1]
+    slots = (pattern.rows[:, None] * k + np.arange(k)).ravel()
+    products = (values[:, None] * x[pattern.cols]).ravel()
+    return np.bincount(slots, products, minlength=layout.m * k).reshape(layout.m, k)
 
-    if any(name in groups for name in BRANCH_KINDS):
-        f, t = network.f_idx, network.t_idx
-        vf, vt = v[f], v[t]
-        i_from = network.y_ff * vf + network.y_ft * vt
-        i_to = network.y_tf * vf + network.y_tt * vt
-        # from side
-        dsf_dvmf = v_norm[f] * np.conj(i_from) + vf * np.conj(network.y_ff) * np.conj(v_norm[f])
-        dsf_dvmt = vf * np.conj(network.y_ft) * np.conj(v_norm[t])
-        dsf_dvaf = 1j * (vf * np.conj(i_from) - vf * np.conj(network.y_ff * vf))
-        dsf_dvat = -1j * vf * np.conj(network.y_ft * vt)
-        # to side
-        dst_dvmt = v_norm[t] * np.conj(i_to) + vt * np.conj(network.y_tt) * np.conj(v_norm[t])
-        dst_dvmf = vt * np.conj(network.y_tf) * np.conj(v_norm[f])
-        dst_dvat = 1j * (vt * np.conj(i_to) - vt * np.conj(network.y_tt * vt))
-        dst_dvaf = -1j * vt * np.conj(network.y_tf * vf)
 
-        sides = {
-            "pf": (dsf_dvmf.real, dsf_dvmt.real, dsf_dvaf.real, dsf_dvat.real),
-            "qf": (dsf_dvmf.imag, dsf_dvmt.imag, dsf_dvaf.imag, dsf_dvat.imag),
-            "pt": (dst_dvmf.real, dst_dvmt.real, dst_dvaf.real, dst_dvat.real),
-            "qt": (dst_dvmf.imag, dst_dvmt.imag, dst_dvaf.imag, dst_dvat.imag),
-        }
-        for name, (d_vmf, d_vmt, d_vaf, d_vat) in sides.items():
-            if name not in groups:
-                continue
-            rows, idx = groups[name]
-            from_bus, to_bus = layout.columns[name]
-            h_mat[rows, from_bus.vm] = d_vmf[idx]
-            h_mat[rows, to_bus.vm] = d_vmt[idx]
-            for bus, d_va in ((from_bus, d_vaf[idx]), (to_bus, d_vat[idx])):
-                h_mat[bus.rows, bus.va] = d_va[bus.keep]
-
-    return h_mat
+def jacobian_transpose_product(layout: Layout, values: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """H' y from the Jacobian's pattern values, for y of shape (m,)."""
+    pattern = layout.pattern
+    return np.bincount(pattern.cols, values * y[pattern.rows], minlength=2 * layout.n_bus - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +567,10 @@ def newton_pf(
     va[slack] = 0.0
 
     s_target = spec.p_set + 1j * spec.q_set
+    # injection derivatives are taken where ybus may be nonzero, then
+    # scattered into dense n_bus x n_bus blocks
+    pairs = _bus_pairs(nb, network.f_idx, network.t_idx)
+    at = pairs[0] * nb + pairs[1]
 
     for iteration in range(max_iter + 1):
         v = vm * np.exp(1j * va)
@@ -521,7 +585,9 @@ def newton_pf(
                 f"(max mismatch {np.max(np.abs(f)):.3e} p.u.)"
             )
 
-        ds_dvm, ds_dva = _injection_derivatives(network, v)
+        derivatives = np.zeros((2, nb * nb), dtype=complex)
+        derivatives[:, at] = _injection_derivatives(network, v, *pairs)
+        ds_dvm, ds_dva = derivatives.reshape(2, nb, nb)
         j11 = ds_dva[np.ix_(pvpq, pvpq)].real
         j12 = ds_dvm[np.ix_(pvpq, pq)].real
         j21 = ds_dva[np.ix_(pq, pvpq)].imag

@@ -377,6 +377,13 @@ def cmd_eval(args) -> int:
             f"mean {entry['mean_time_s'] * 1e3:.2f} ms/scenario  "
             f"max violation {entry['violations']['max']:.3g}"
         )
+    if "wls-trained" in methods:
+        trained = methods["wls-trained"]["loss"]
+        ratios = "  ".join(
+            f"wls-trained/{method} {trained / methods[method]['loss']:.4g}"
+            for method in ("benchmark", "raw") if method in methods
+        )
+        print(f"loss ratio  {ratios}")
 
     if args.curve:
         def curve_point(item):

@@ -11,19 +11,32 @@ rho * (H N^-1 D): one normal-equation solve with right-hand side
 matrix is the same product with D = I, transposed. When the converged
 residual is zero the sensitivity vanishes.
 
-N is formed over the layout's sparsity pattern and factored by the
-normal-equation solver of `wls` (`solve_normal`), so an unobservable layout
-raises the same UnobservableError, naming the unobservable direction, as
-the restoration does. Like the restoration, each call validates and
-compiles its measurement layout once, or takes the compiled layout of
-z.kinds as a precomputed input.
+H is carried as its values at the layout's sparsity pattern
+(`acpf.jacobian_values`), never as a dense m x n array: H' W r and H N^-1
+[H' W r | D] are `np.bincount` products over the pattern's entries. N is
+formed over the same pattern and factored by the normal-equation solver of
+`wls` (`solve_normal`), so an unobservable layout raises the same
+UnobservableError, naming the unobservable direction, as the restoration
+does. Like the restoration, each call validates and compiles its
+measurement layout once, or takes the compiled layout of z.kinds as a
+precomputed input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .acpf import Layout, MeasurementSet, StateVector, compile_layout, eval_H, eval_h
+from .acpf import (
+    Layout,
+    MeasurementSet,
+    StateVector,
+    compile_layout,
+    eval_H,  # noqa: F401  unused; perfbench/tracer.py rebinds sens.eval_H by name
+    eval_h,
+    jacobian_product,
+    jacobian_transpose_product,
+    jacobian_values,
+)
 from .netmodel import Network
 from .wls import check_weights, solve_normal
 
@@ -47,12 +60,12 @@ def solution_sensitivity(
     layout.check_kinds(z.kinds)
     weights = check_weights(weights, z.m)
     residual = z.values - eval_h(network, x_r, layout)
-    h_mat = eval_H(network, x_r, layout)
+    values = jacobian_values(network, x_r, layout)
     d_mat = np.eye(network.n_state) if d is None else np.asarray(d, dtype=float)
-    rhs = np.column_stack([h_mat.T @ (weights * residual), d_mat])
-    solved = solve_normal(h_mat, weights, rhs, network, layout)
-    projected = residual - h_mat @ solved[:, 0]
-    product = projected[:, None] * (h_mat @ solved[:, 1:])
+    rhs = np.column_stack([jacobian_transpose_product(layout, values, weights * residual),
+                           d_mat])
+    h_solved = jacobian_product(layout, values, solve_normal(values, weights, rhs, network, layout))
+    product = (residual - h_solved[:, 0])[:, None] * h_solved[:, 1:]
     if d is None:
         return product.T
     return product[:, 0] if d_mat.ndim == 1 else product

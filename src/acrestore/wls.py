@@ -1,14 +1,16 @@
 """Gauss-Newton weighted least squares restoration.
 
 Finds the voltage state whose modeled measurements best match a tagged
-measurement vector under positive diagonal weights. `solve_normal` is the
-package's one normal-equation routine, shared with the weight sensitivity.
-It forms N = H' W H over the sparsity pattern of the compiled layout
-(`normal_matrix`): it gathers H at the pattern's entries and sums
+measurement vector under positive diagonal weights. The Jacobian is carried
+as its values at the compiled layout's sparsity pattern
+(`acpf.jacobian_values`), never as a dense m x n array: the gradient H' W r
+is one `np.bincount` over the entries' columns, and `normal_matrix` sums
 w h_a h_b for every pair of entries in one row into the upper triangle of
-N with `np.bincount`, so the work follows the Jacobian's nonzeros, not
-m x n x n. It then Jacobi-scales N, lets a numpy Cholesky factorization
-decide observability, and solves each right-hand side with numpy only.
+N = H' W H, so the work follows the Jacobian's nonzeros, not m x n x n.
+`solve_normal` is the package's one normal-equation routine, shared with
+the weight sensitivity: it Jacobi-scales N, lets a numpy Cholesky
+factorization decide observability, and solves each right-hand side with
+numpy only.
 
 Each restoration validates and compiles its measurement layout once, or
 takes the compiled layout of z.kinds as a precomputed input, and passes it
@@ -27,8 +29,10 @@ from .acpf import (
     MeasurementSet,
     StateVector,
     compile_layout,
-    eval_H,
+    eval_H,  # noqa: F401  unused; perfbench/tracer.py rebinds wls.eval_H by name
     eval_h,
+    jacobian_transpose_product,
+    jacobian_values,
 )
 from .netmodel import Network
 
@@ -67,21 +71,20 @@ def check_weights(weights: np.ndarray, m: int) -> np.ndarray:
     return weights
 
 
-def normal_matrix(h_mat: np.ndarray, weights: np.ndarray, layout: Layout) -> np.ndarray:
-    """H' W H summed over the sparsity pattern of the compiled layout.
+def normal_matrix(values: np.ndarray, weights: np.ndarray, layout: Layout) -> np.ndarray:
+    """H' W H from the Jacobian's values at the compiled layout's pattern.
 
-    Entries of H outside the pattern are zero at every state, so only the
-    pattern's entries are read: w h_a h_b for every pair of entries in one
+    Entries of H outside the pattern are zero at every state, so the sum
+    runs over the pattern only: w h_a h_b for every pair of entries in one
     row, summed into the upper triangle, which is then mirrored.
     """
     n = 2 * layout.n_bus - 1
-    if h_mat.shape != (layout.m, n):
-        raise MeasurementError(
-            f"{h_mat.shape[0]} x {h_mat.shape[1]} Jacobian for a layout of "
-            f"{layout.m} rows and {n} states"
-        )
     pattern = layout.pattern
-    values = h_mat.take(pattern.entries)
+    if values.shape != pattern.entries.shape:
+        raise MeasurementError(
+            f"{values.size} Jacobian values for a layout of {pattern.entries.size} "
+            f"pattern entries"
+        )
     weighted = values * weights[pattern.rows]
     upper = np.bincount(pattern.target, weighted[pattern.first] * values[pattern.second],
                         minlength=n * n).reshape(n, n)
@@ -90,19 +93,20 @@ def normal_matrix(h_mat: np.ndarray, weights: np.ndarray, layout: Layout) -> np.
     return normal
 
 
-def solve_normal(h_mat: np.ndarray, weights: np.ndarray, rhs: np.ndarray,
+def solve_normal(values: np.ndarray, weights: np.ndarray, rhs: np.ndarray,
                  network: Network, layout: Layout) -> np.ndarray:
     """Solve (H' W H) x = rhs for a vector or a matrix right-hand side.
 
-    H is the Jacobian of the compiled `layout` for the network, and the
-    normal matrix is formed over the layout's pattern (`normal_matrix`). It
-    is Jacobi-scaled to unit diagonal, and its Cholesky factorization
-    decides observability. A failed factorization always raises
+    H is the Jacobian of the compiled `layout` for the network, given by its
+    values at the layout's pattern (`acpf.jacobian_values`), and the normal
+    matrix is formed over that pattern (`normal_matrix`). It is
+    Jacobi-scaled to unit diagonal, and its Cholesky factorization decides
+    observability. A failed factorization always raises
     UnobservableError, naming the unobservable direction; so does a
     smallest pivot squared at or below 1e-12, an upper bound on the
     smallest eigenvalue.
     """
-    normal = normal_matrix(h_mat, weights, layout)
+    normal = normal_matrix(values, weights, layout)
     diag = np.diag(normal).copy()
     singular = diag <= 0.0
     if singular.any():
@@ -172,9 +176,9 @@ def wls_restore(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        h_mat = eval_H(network, state, layout)
-        grad = h_mat.T @ (weights * residual)
-        step = solve_normal(h_mat, weights, grad, network, layout)
+        values = jacobian_values(network, state, layout)
+        grad = jacobian_transpose_product(layout, values, weights * residual)
+        step = solve_normal(values, weights, grad, network, layout)
 
         x_vec = state.as_vector()
         candidate = None

@@ -29,6 +29,9 @@ from acrestore.acpf import (
     MeasurementError,
     PowerFlowError,
     compile_layout,
+    jacobian_product,
+    jacobian_transpose_product,
+    jacobian_values,
 )
 from acrestore.netmodel import PQ, PV, SLACK, Network
 from conftest import fd_jacobian, perturbed_state
@@ -443,6 +446,125 @@ def test_parallel_branches_count_once(case5):
     row = kinds.index(MeasurementKind("pinj", 0))
     assert np.array_equal(pattern.entries[pattern.rows == row] % doubled.n_state,
                           base.entries[base.rows == row] % case5.n_state)
+
+
+def dense_jacobian(network, state, kinds):
+    """The dense Jacobian, written group by group over n_bus x n_bus
+    injection derivatives: the reference the pattern values must equal bit
+    for bit."""
+    layout = compile_layout(network, kinds)
+    groups, nb = layout.groups, network.n_bus
+    v = state.voltages()
+    v_norm = np.exp(1j * state.va)
+    h_mat = np.zeros((layout.m, network.n_state))
+    if "vm" in groups:
+        rows, idx = groups["vm"]
+        h_mat[rows, idx] = 1.0
+    if "va" in groups:
+        (bus,) = layout.columns["va"]
+        h_mat[bus.rows, bus.va] = 1.0
+    if "pinj" in groups or "qinj" in groups:
+        i_inj = network.ybus @ v
+        v_unit = np.exp(1j * np.angle(v))
+        ds_dvm = v[:, None] * np.conj(network.ybus * v_unit[None, :])
+        ds_dvm[np.diag_indices_from(ds_dvm)] += np.conj(i_inj) * v_unit
+        ds_dva = 1j * v[:, None] * np.conj(np.diag(i_inj) - network.ybus * v[None, :])
+        non_slack = np.flatnonzero(np.arange(nb) != network.slack)
+        for name, part in (("pinj", np.real), ("qinj", np.imag)):
+            if name in groups:
+                rows, idx = groups[name]
+                h_mat[rows, :nb] = part(ds_dvm[idx])
+                h_mat[rows, nb:] = part(ds_dva[np.ix_(idx, non_slack)])
+    f, t = network.f_idx, network.t_idx
+    vf, vt = v[f], v[t]
+    i_from = network.y_ff * vf + network.y_ft * vt
+    i_to = network.y_tf * vf + network.y_tt * vt
+    from_side = (
+        v_norm[f] * np.conj(i_from) + vf * np.conj(network.y_ff) * np.conj(v_norm[f]),
+        vf * np.conj(network.y_ft) * np.conj(v_norm[t]),
+        1j * (vf * np.conj(i_from) - vf * np.conj(network.y_ff * vf)),
+        -1j * vf * np.conj(network.y_ft * vt),
+    )
+    to_side = (
+        vt * np.conj(network.y_tf) * np.conj(v_norm[f]),
+        v_norm[t] * np.conj(i_to) + vt * np.conj(network.y_tt) * np.conj(v_norm[t]),
+        -1j * vt * np.conj(network.y_tf * vf),
+        1j * (vt * np.conj(i_to) - vt * np.conj(network.y_tt * vt)),
+    )
+    sides = {"pf": (from_side, np.real), "qf": (from_side, np.imag),
+             "pt": (to_side, np.real), "qt": (to_side, np.imag)}
+    for name, (side, part) in sides.items():
+        if name not in groups:
+            continue
+        rows, idx = groups[name]
+        d_vmf, d_vmt, d_vaf, d_vat = (part(d)[idx] for d in side)
+        from_bus, to_bus = layout.columns[name]
+        h_mat[rows, from_bus.vm] = d_vmf
+        h_mat[rows, to_bus.vm] = d_vmt
+        h_mat[from_bus.rows, from_bus.va] = d_vaf[from_bus.keep]
+        h_mat[to_bus.rows, to_bus.va] = d_vat[to_bus.keep]
+    return h_mat
+
+
+@pytest.mark.parametrize("name", ["case5", "case14"])
+def test_state_vector_round_trip_is_exact(name, request):
+    network = request.getfixturevalue(name)
+    state = perturbed_state(network, np.random.default_rng(61))
+    vec = state.as_vector()
+    # the np.delete / np.insert reference the slices replace
+    assert np.array_equal(vec, np.concatenate([state.vm, np.delete(state.va, network.slack)]))
+    back = StateVector.from_vector(vec, network.slack)
+    assert np.array_equal(back.va, np.insert(vec[network.n_bus:], network.slack, 0.0))
+    assert np.array_equal(back.vm, state.vm) and np.array_equal(back.va, state.va)
+    assert not np.shares_memory(back.vm, vec) and not np.shares_memory(back.va, vec)
+
+
+def sparse_layouts(network, rng):
+    """pattern_layouts plus the slack bus's va row, and layouts of one
+    injection or flow family with the voltage rows."""
+    slack_va = MeasurementKind("va", network.slack)
+    for kinds in pattern_layouts(network, rng):
+        yield list(kinds) + ([slack_va] if slack_va not in kinds else [])
+    kinds = canonical_kinds(network)
+    yield [k for k in kinds if k.kind in ("vm", "va", "qinj")]
+    yield [k for k in kinds if k.kind in ("vm", "pt", "qf")]
+
+
+@pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])
+def test_jacobian_values_are_the_dense_jacobian_bit_for_bit(name, request):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(53)
+    states = [StateVector.flat(network)] + [perturbed_state(network, rng) for _ in range(2)]
+    for kinds in sparse_layouts(network, rng):
+        layout = compile_layout(network, kinds)
+        for state in states:
+            dense = eval_H(network, state, layout)
+            assert np.array_equal(dense, dense_jacobian(network, state, kinds))
+            values = jacobian_values(network, state, layout)
+            assert np.array_equal(values, dense.take(layout.pattern.entries))
+            assert np.array_equal(jacobian_values(network, state, kinds), values)
+
+
+@pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])
+def test_pattern_products_match_dense_products(name, request):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(59)
+    for kinds in sparse_layouts(network, rng):
+        layout = compile_layout(network, kinds)
+        state = perturbed_state(network, rng)
+        dense = eval_H(network, state, layout)
+        values = jacobian_values(network, state, layout)
+        y = rng.standard_normal(layout.m)
+        x = rng.standard_normal(network.n_state)
+        x_mat = rng.standard_normal((network.n_state, 4))
+        for product, reference in (
+            (jacobian_transpose_product(layout, values, y), dense.T @ y),
+            (jacobian_product(layout, values, x[:, None]), dense @ x[:, None]),
+            (jacobian_product(layout, values, x_mat), dense @ x_mat),
+        ):
+            assert product.shape == reference.shape
+            # measured up to 3.1e-16 (case14) on the canonical layouts
+            assert np.abs(product - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,13 @@ def test_scenarios_train_eval_pipeline(case_path, tmp_path, capsys):
     for method in ("raw", "benchmark", "wls-init", "wls-trained"):
         assert method in report["methods"]
         assert report["methods"][method]["loss"] >= 0.0
+    ratio_line = capsys.readouterr().out.splitlines()[-2]
+    match = re.fullmatch(r"loss ratio  wls-trained/benchmark (\S+)  wls-trained/raw (\S+)",
+                         ratio_line)
+    assert match, ratio_line
+    losses = {method: entry["loss"] for method, entry in report["methods"].items()}
+    for ratio, method in zip(match.groups(), ("benchmark", "raw")):
+        assert float(ratio) == pytest.approx(losses["wls-trained"] / losses[method], rel=1e-3)
     assert (report_dir / "report.tsv").exists()
 
 

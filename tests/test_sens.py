@@ -176,7 +176,8 @@ def explicit_sensitivity(network, z, weights, x_r):
     right-hand side per measurement. The reference for the product form."""
     residual = z.values - eval_h(network, x_r, z.kinds)
     h_mat = eval_H(network, x_r, z.kinds)
-    a_mat = solve_normal(h_mat, weights, h_mat.T, network, compile_layout(network, z.kinds))
+    layout = compile_layout(network, z.kinds)
+    a_mat = solve_normal(h_mat.take(layout.pattern.entries), weights, h_mat.T, network, layout)
     projected = residual - h_mat @ (a_mat @ (weights * residual))
     return a_mat * projected[None, :]
 

@@ -273,8 +273,11 @@ def test_each_solve_compiles_its_layout_once(case14, monkeypatch, solver):
 # ---------------------------------------------------------------------------
 
 
-def dense_normal(h_mat, weights, layout):
-    """The reference the pattern product replaces: H' W H, dense."""
+def dense_normal(values, weights, layout):
+    """The reference the pattern product replaces: H' W H, dense, with H
+    rebuilt from its values at the layout's pattern."""
+    h_mat = np.zeros((layout.m, 2 * layout.n_bus - 1))
+    h_mat.flat[layout.pattern.entries] = values
     return (h_mat * weights[:, None]).T @ h_mat
 
 
@@ -287,13 +290,16 @@ def test_normal_matrix_matches_dense_product(name, request):
     for layout_kinds in (kinds, partial):
         layout = acpf.compile_layout(network, layout_kinds)
         for state in (StateVector.flat(network), perturbed_state(network, rng)):
-            h_mat = acpf.eval_H(network, state, layout)
+            values = acpf.jacobian_values(network, state, layout)
             weights = 10.0 ** rng.uniform(-8, 0, layout.m)
-            normal = wls.normal_matrix(h_mat, weights, layout)
-            reference = dense_normal(h_mat, weights, layout)
+            normal = wls.normal_matrix(values, weights, layout)
+            reference = dense_normal(values, weights, layout)
             assert np.array_equal(normal, normal.T)
             # measured 1.8e-16 (case57) and 1.9e-16 (case118)
             assert np.abs(normal - reference).max() <= 1e-14 * np.abs(reference).max()
+    # a dense Jacobian is not its pattern values
+    with pytest.raises(acpf.MeasurementError, match="Jacobian values for a layout"):
+        wls.normal_matrix(acpf.eval_H(network, state, layout), weights, layout)
 
 
 def noisy_restore_problem(network, seed):
