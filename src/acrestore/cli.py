@@ -135,7 +135,6 @@ def cmd_lpac(args) -> int:
     )
     if args.out:
         z = lpac_to_measurements(network, sol)
-        flows = np.column_stack([sol.flows[:, k] for k in range(4)])
         p_inj = z.values[2 * network.n_bus : 3 * network.n_bus]
         q_inj = z.values[3 * network.n_bus : 4 * network.n_bus]
         fileio.write_solution(
@@ -147,7 +146,7 @@ def cmd_lpac(args) -> int:
                 va=sol.theta,
                 p_inj=p_inj,
                 q_inj=q_inj,
-                flows=flows,
+                flows=sol.flows,
                 p_gen=sol.p_gen,
                 q_gen=sol.q_gen,
             ),
@@ -386,21 +385,14 @@ def cmd_eval(args) -> int:
         print(f"loss ratio  {ratios}")
 
     if args.curve:
-        def curve_point(item):
+        points = []
+        for item in args.curve:
             count_text, _, weight_path = item.partition(":")
             kinds, w_curve = fileio.read_weights(weight_path, network)
             if kinds != layout:
                 raise fileio.FormatError(f"{weight_path}: layout mismatch")
             states = [wls_method(w_curve)(rec) for rec in test_recs]
-            return int(count_text), loss(test_recs, states)
-
-        if args.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                points = list(pool.map(curve_point, args.curve))
-        else:
-            points = [curve_point(item) for item in args.curve]
+            points.append((int(count_text), loss(test_recs, states)))
         points.sort()
         fileio.write_curve(os.path.join(args.out, "curve.tsv"), points)
         print(f"curve with {len(points)} points written to {args.out}/curve.tsv")
@@ -479,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--weights", help="trained weight file")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--threads", type=int, default=1, help="parallel curve evaluation")
     p.add_argument(
         "--curve",
         action="append",

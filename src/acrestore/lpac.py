@@ -10,12 +10,17 @@ half-planes, and replaces each quadratic generation cost by a secant
 epigraph. Both the deviation and the angle are pinned to zero at the slack
 bus; only differences of either enter the flow model, so the pin removes a
 spurious translation degeneracy.
+
+build_lpac assembles the model as arrays, one numpy block per row family,
+in a fixed column and row order (see build_lpac) with no zero coefficient
+stored. HiGHS's pivoting path depends on that order: reordering may change
+its iteration count and, among cost-equal optima, the vertex it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,8 +30,6 @@ from .netmodel import Network
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-LE, GE, EQ = "<=", ">=", "=="
 
 _FEAS_TOL = 1e-9
 
@@ -47,46 +50,53 @@ class IterationLimitError(SimplexError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
-    """min c'x over sparse rows with senses and per-variable bounds."""
+    """min c'x subject to row_lo <= A x <= row_hi and lower <= x <= upper.
 
-    var_names: list[str] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-    rows: list = field(default_factory=list)  # (coeffs dict, sense, rhs, name)
+    a_mat is the m x n CSR matrix of the rows in build order. A side a row
+    or a variable leaves open is an infinite bound; equal sides make an
+    equality. Construction checks the arrays once and raises ValueError on
+    a non-finite coefficient, a NaN bound, an empty interval or shapes that
+    disagree.
+    """
 
-    def add_var(self, name: str, lower=-math.inf, upper=math.inf, cost=0.0) -> int:
-        if not (lower <= upper):
-            raise ValueError(f"variable {name}: empty bound interval")
-        self.var_names.append(name)
-        self.objective.append(float(cost))
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        return len(self.var_names) - 1
+    a_mat: sp.csr_array
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    c_vec: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    var_names: tuple[str, ...]
+    row_names: tuple[str, ...]
 
-    def add_row(self, coeffs: dict, sense: str, rhs: float, name: str = ""):
-        if sense not in (LE, GE, EQ):
-            raise ValueError(f"unknown sense {sense!r}")
-        for j, val in coeffs.items():
-            if not (0 <= j < len(self.var_names)) or not math.isfinite(val):
-                raise ValueError(f"row {name!r}: bad coefficient ({j}, {val})")
-        if not math.isfinite(rhs):
-            raise ValueError(f"row {name!r}: non-finite rhs")
-        self.rows.append((dict(coeffs), sense, float(rhs), name))
+    def __post_init__(self):
+        n_row, n_var = self.a_mat.shape
+        rows = (self.row_lo.shape, self.row_hi.shape, (len(self.row_names),))
+        cols = (self.c_vec.shape, self.lower.shape, self.upper.shape, (len(self.var_names),))
+        if set(rows) != {(n_row,)} or set(cols) != {(n_var,)}:
+            raise ValueError(f"LP of shape {(n_row, n_var)}: row arrays {rows}, columns {cols}")
+        if not (np.isfinite(self.a_mat.data).all() and np.isfinite(self.c_vec).all()):
+            raise ValueError("LP: non-finite coefficient")
+        # a NaN bound fails the comparison as well
+        if not (np.all(self.lower <= self.upper) and np.all(self.row_lo <= self.row_hi)):
+            raise ValueError("LP: empty or NaN bound interval")
 
     @property
     def n_var(self) -> int:
-        return len(self.var_names)
+        return self.a_mat.shape[1]
 
     @property
     def n_row(self) -> int:
-        return len(self.rows)
+        return self.a_mat.shape[0]
 
 
 def write_lp_text(lp: LinearProgram) -> str:
-    """Export in the plain text LP format understood by external solvers."""
+    """Export in the plain text LP format understood by external solvers.
+
+    The format gives each row one relation, so a row with two different
+    finite sides raises ValueError.
+    """
 
     def term(coef, name, first):
         sign = "-" if coef < 0 else ("" if first else "+")
@@ -94,22 +104,25 @@ def write_lp_text(lp: LinearProgram) -> str:
 
     out = ["Minimize", " obj:"]
     line = ""
-    for j, c in enumerate(lp.objective):
+    for j, c in enumerate(lp.c_vec.tolist()):
         if c != 0.0:
             line += term(c, lp.var_names[j], line == "")
     out.append(line or " 0 x0")
     out.append("Subject To")
-    for k, (coeffs, sense, rhs, name) in enumerate(lp.rows):
-        line = f" {name or f'c{k}'}:"
+    a_mat = lp.a_mat.sorted_indices()
+    for k, (lo, hi) in enumerate(zip(lp.row_lo.tolist(), lp.row_hi.tolist())):
+        if lo != hi and math.isfinite(lo) and math.isfinite(hi):
+            raise ValueError(f"row {lp.row_names[k]!r} has two finite sides")
+        rel, rhs = ("=", hi) if lo == hi else (">=", lo) if hi == math.inf else ("<=", hi)
+        span = slice(a_mat.indptr[k], a_mat.indptr[k + 1])
         body = ""
-        for j in sorted(coeffs):
-            if coeffs[j] != 0.0:
-                body += term(coeffs[j], lp.var_names[j], body == "")
-        rel = {LE: "<=", GE: ">=", EQ: "="}[sense]
+        for j, coef in zip(a_mat.indices[span].tolist(), a_mat.data[span].tolist()):
+            if coef != 0.0:
+                body += term(coef, lp.var_names[j], body == "")
+        line = f" {lp.row_names[k] or f'c{k}'}:"
         out.append(line + (body or " 0 " + lp.var_names[0]) + f" {rel} {rhs:.12g}")
     out.append("Bounds")
-    for j, name in enumerate(lp.var_names):
-        lo, hi = lp.lower[j], lp.upper[j]
+    for name, lo, hi in zip(lp.var_names, lp.lower.tolist(), lp.upper.tolist()):
         if lo == hi:
             out.append(f" {name} = {lo:.12g}")
         else:
@@ -121,53 +134,8 @@ def write_lp_text(lp: LinearProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matrix form, HiGHS solve and the optimality certificate
+# HiGHS solve and the optimality certificate
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatrixForm:
-    """The LP as arrays: min c'x, row_lo <= A x <= row_hi, lower <= x <= upper.
-
-    a_mat is the m x n CSR matrix of the rows in their original order; the
-    side a row's sense leaves open is an infinite bound.
-    """
-
-    a_mat: sp.csr_array
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    c_vec: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-def matrix_form(lp: LinearProgram) -> MatrixForm:
-    """Collect the rows into one CSR matrix and the bounds into vectors."""
-    import scipy.sparse as sp
-
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    row_lo = np.full(lp.n_row, -np.inf)
-    row_hi = np.full(lp.n_row, np.inf)
-    for i, (coeffs, sense, rhs, _name) in enumerate(lp.rows):
-        indices.extend(coeffs)
-        data.extend(coeffs.values())
-        indptr.append(len(indices))
-        if sense != LE:
-            row_lo[i] = rhs
-        if sense != GE:
-            row_hi[i] = rhs
-    a_mat = sp.csr_array(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.int64), np.array(indptr)),
-        shape=(lp.n_row, lp.n_var),
-    )
-    return MatrixForm(
-        a_mat, row_lo, row_hi,
-        np.array(lp.objective, dtype=float),
-        np.array(lp.lower, dtype=float),
-        np.array(lp.upper, dtype=float),
-    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +144,7 @@ class SimplexResult:
     objective: float
     duals: np.ndarray  # row multipliers y, reduced costs are c - A'y
     iterations: int  # HiGHS simplex iterations
-    std: MatrixForm  # the LP as solved
+    std: LinearProgram  # the LP as solved
 
 
 _STATUS_ERRORS = {1: IterationLimitError, 2: InfeasibleError, 3: UnboundedError}
@@ -189,26 +157,25 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     InfeasibleError, UnboundedError, IterationLimitError, or SimplexError
     for any other solver outcome.
     """
-    # scipy.sparse and scipy.optimize are imported on the first solve: at
-    # module level they cost every process that never solves an LP ~0.3 s
+    # scipy.sparse and scipy.optimize are imported on first use: at module
+    # level they cost every process that never builds or solves an LP ~0.3 s
     # and ~20 MB
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
-    form = matrix_form(lp)
-    eq = form.row_lo == form.row_hi
+    eq = lp.row_lo == lp.row_hi
     ineq = ~eq
     # linprog takes A_ub x <= b_ub: >= rows enter negated
-    sign = np.where(np.isfinite(form.row_lo), -1.0, 1.0)[ineq]
-    a_ub = sp.diags(sign) @ form.a_mat[ineq]
-    b_ub = sign * np.where(sign < 0, form.row_lo[ineq], form.row_hi[ineq])
+    sign = np.where(np.isfinite(lp.row_lo), -1.0, 1.0)[ineq]
+    a_ub = sp.diags(sign) @ lp.a_mat[ineq]
+    b_ub = sign * np.where(sign < 0, lp.row_lo[ineq], lp.row_hi[ineq])
     res = linprog(
-        form.c_vec,
+        lp.c_vec,
         A_ub=a_ub,
         b_ub=b_ub,
-        A_eq=form.a_mat[eq],
-        b_eq=form.row_hi[eq],
-        bounds=np.column_stack([form.lower, form.upper]),
+        A_eq=lp.a_mat[eq],
+        b_eq=lp.row_hi[eq],
+        bounds=np.column_stack([lp.lower, lp.upper]),
         method="highs-ds",
         options={} if max_iter is None else {"maxiter": max_iter},
     )
@@ -217,7 +184,7 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     duals = np.empty(lp.n_row)
     duals[ineq] = sign * res.ineqlin.marginals
     duals[eq] = res.eqlin.marginals
-    return SimplexResult(res.x, float(form.c_vec @ res.x), duals, int(res.nit), form)
+    return SimplexResult(res.x, float(lp.c_vec @ res.x), duals, int(res.nit), lp)
 
 
 def _sign_margin(mult: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -255,21 +222,21 @@ def verify_certificates(result: SimplexResult, tol: float = _FEAS_TOL) -> dict:
     Feasibility on both sides with a zero gap implies complementary slackness,
     hence optimality. Each measure is held to tol.
     """
-    form, x, y = result.std, result.x, result.duals
-    ax = form.a_mat @ x
-    scale = abs(form.a_mat).max(axis=1).toarray().ravel()
+    lp, x, y = result.std, result.x, result.duals
+    ax = lp.a_mat @ x
+    scale = abs(lp.a_mat).max(axis=1).toarray().ravel()
     scale[scale == 0.0] = 1.0
-    row_excess = np.maximum(form.row_lo - ax, ax - form.row_hi) / scale
+    row_excess = np.maximum(lp.row_lo - ax, ax - lp.row_hi) / scale
     primal_residual = float(np.max(row_excess, initial=0.0))
-    bound_excess = np.maximum(form.lower - x, x - form.upper)
+    bound_excess = np.maximum(lp.lower - x, x - lp.upper)
     bound_violation = float(np.max(bound_excess, initial=0.0))
-    reduced = form.c_vec - form.a_mat.T @ y
-    min_row_dual = _sign_margin(y, form.row_lo, form.row_hi)
-    min_reduced = _sign_margin(reduced, form.lower, form.upper)
-    primal = float(form.c_vec @ x)
+    reduced = lp.c_vec - lp.a_mat.T @ y
+    min_row_dual = _sign_margin(y, lp.row_lo, lp.row_hi)
+    min_reduced = _sign_margin(reduced, lp.lower, lp.upper)
+    primal = float(lp.c_vec @ x)
     dual = float(
-        y @ _priced_at(y, form.row_lo, form.row_hi, ax)
-        + reduced @ _priced_at(reduced, form.lower, form.upper, x)
+        y @ _priced_at(y, lp.row_lo, lp.row_hi, ax)
+        + reduced @ _priced_at(reduced, lp.lower, lp.upper, x)
     )
     gap = abs(primal - dual) / max(1.0, abs(primal))
     ok = (
@@ -318,6 +285,53 @@ def cosine_cuts(theta_max: float, n_tangents: int):
 _V_TIEBREAK = 1.0
 
 
+class _Builder:
+    """An LP assembled block by block, columns and rows in the order added."""
+
+    def __init__(self):
+        self.var_names: list[str] = []
+        self.row_names: list[str] = []
+        self.var_parts: list[tuple[np.ndarray, ...]] = []  # lower, upper, cost
+        self.row_parts: list[tuple[np.ndarray, ...]] = []  # row_lo, row_hi
+        self.entries: list[tuple[np.ndarray, ...]] = []  # row, column, coefficient
+
+    def columns(self, names: list[str], lower, upper, cost=0.0) -> np.ndarray:
+        """Append len(names) columns, bounds and cost broadcast to them, and
+        return their positions."""
+        first = len(self.var_names)
+        self.var_names.extend(names)
+        self.var_parts.append(tuple(np.full(len(names), np.ravel(v), float)
+                                    for v in (lower, upper, cost)))
+        return np.arange(first, len(self.var_names))
+
+    def rows(self, terms, lo, hi, names: list[str]):
+        """Append len(names) rows, bounds broadcast to them. Each term is
+        (row, column, coefficient): the row array, counted from the block's
+        first row, sets the term's shape, and the other two broadcast to it."""
+        first = len(self.row_names)
+        for row, col, val in terms:
+            shape = np.shape(row)
+            self.entries.append((first + row, np.full(shape, col), np.full(shape, val, float)))
+        self.row_parts.append(tuple(np.full(len(names), np.ravel(v), float) for v in (lo, hi)))
+        self.row_names.extend(names)
+
+    def program(self) -> LinearProgram:
+        """The LP, its matrix in CSR sorted by row and column, without zero
+        coefficients."""
+        import scipy.sparse as sp
+
+        row, col, val = (np.concatenate([a.ravel() for a in part]) for part in zip(*self.entries))
+        keep = np.flatnonzero(val)
+        n_row, n_var = len(self.row_names), len(self.var_names)
+        keep = keep[np.argsort(row[keep] * n_var + col[keep])]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=n_row))])
+        a_mat = sp.csr_array((val[keep], col[keep], indptr), shape=(n_row, n_var))
+        lower, upper, c_vec = (np.concatenate(part) for part in zip(*self.var_parts))
+        row_lo, row_hi = (np.concatenate(part) for part in zip(*self.row_parts))
+        return LinearProgram(a_mat, row_lo, row_hi, c_vec, lower, upper,
+                             tuple(self.var_names), tuple(self.row_names))
+
+
 def build_lpac(
     network: Network,
     n_cos_tangents: int = 9,
@@ -327,6 +341,15 @@ def build_lpac(
 ) -> LinearProgram:
     """Assemble the cold-start linear OPF approximation for the network.
 
+    Columns, in order: v[bus] and th[bus] interleaved per bus, then the
+    per-branch blocks phi, pf, qf, pt, qt, the per-generator blocks pg, qg,
+    cost, and one vdev[bus] per non-slack bus. Rows, in order: the four flow
+    definitions of each branch; the P and Q balance of each bus; each
+    branch's cosine cuts followed by its two angle limits; the disc cuts of
+    each branch with a rating, from and to terminal alternating per cut;
+    the two tie-break rows of each non-slack bus; the cost cuts of each
+    generator.
+
     Voltage deviations carry a tiny absolute-value penalty that selects the
     near-nominal point among cost-equal optima; deviation magnitudes are
     otherwise degenerate on shunt-free networks. Pass v_tiebreak=0 to drop
@@ -334,150 +357,137 @@ def build_lpac(
     """
     if n_cos_tangents < 2 or n_circle_cuts < 2 or n_cost_segments < 2:
         raise ValueError("tangent, circle-cut, and cost-segment counts must be >= 2")
-    lp = LinearProgram()
+    lp = _Builder()
     nb, ne, ng = network.n_bus, network.n_branch, network.n_gen
+    f, t = network.f_idx, network.t_idx
+    buses, branches, gens = network.buses, network.branches, network.generators
+    ids = [bus.id for bus in buses]
+    others = np.flatnonzero(np.arange(nb) != network.slack)
 
-    v_idx = []
-    th_idx = []
-    for i, bus in enumerate(network.buses):
-        if i == network.slack:
-            v_idx.append(lp.add_var(f"v[{bus.id}]", 0.0, 0.0))
-            th_idx.append(lp.add_var(f"th[{bus.id}]", 0.0, 0.0))
-        else:
-            v_idx.append(lp.add_var(f"v[{bus.id}]", bus.v_min - 1.0, bus.v_max - 1.0))
-            th_idx.append(lp.add_var(f"th[{bus.id}]"))
-    phi_idx = [
-        lp.add_var(f"phi[{e}]", math.cos(br.theta_max), math.inf)
-        for e, br in enumerate(network.branches)
-    ]
-    pf_idx = [lp.add_var(f"pf[{e}]") for e in range(ne)]
-    qf_idx = [lp.add_var(f"qf[{e}]") for e in range(ne)]
-    pt_idx = [lp.add_var(f"pt[{e}]") for e in range(ne)]
-    qt_idx = [lp.add_var(f"qt[{e}]") for e in range(ne)]
-    pg_idx = [
-        lp.add_var(f"pg[{g}]", gen.p_min, gen.p_max)
-        for g, gen in enumerate(network.generators)
-    ]
-    qg_idx = [
-        lp.add_var(f"qg[{g}]", gen.q_min, gen.q_max)
-        for g, gen in enumerate(network.generators)
-    ]
-    cost_idx = [lp.add_var(f"cost[{g}]", cost=1.0) for g in range(ng)]
+    v_lo = np.array([[bus.v_min - 1.0, -np.inf] for bus in buses])
+    v_hi = np.array([[bus.v_max - 1.0, np.inf] for bus in buses])
+    v_lo[network.slack] = v_hi[network.slack] = 0.0
+    v_col, th_col = lp.columns(
+        [f"{kind}[{i}]" for i in ids for kind in ("v", "th")], v_lo, v_hi
+    ).reshape(nb, 2).T
+    phi_col = lp.columns([f"phi[{e}]" for e in range(ne)],
+                         [math.cos(br.theta_max) for br in branches], np.inf)
+    pf_col, qf_col, pt_col, qt_col = lp.columns(
+        [f"{kind}[{e}]" for kind in ("pf", "qf", "pt", "qt") for e in range(ne)], -np.inf, np.inf
+    ).reshape(4, ne)
+    pg_col = lp.columns([f"pg[{g}]" for g in range(ng)],
+                        [gen.p_min for gen in gens], [gen.p_max for gen in gens])
+    qg_col = lp.columns([f"qg[{g}]" for g in range(ng)],
+                        [gen.q_min for gen in gens], [gen.q_max for gen in gens])
+    cost_col = lp.columns([f"cost[{g}]" for g in range(ng)], -np.inf, np.inf, 1.0)
 
-    # directed flow definitions from the linearized flow model
-    for e, br in enumerate(network.branches):
-        y = 1.0 / complex(br.r, br.x)
-        g, b = y.real, y.imag
-        f, t = int(network.f_idx[e]), int(network.t_idx[e])
-        lp.add_row(
-            {pf_idx[e]: 1.0, phi_idx[e]: g, th_idx[f]: b, th_idx[t]: -b},
-            EQ, g, f"pflow_def[{e}]",
-        )
-        lp.add_row(
-            {qf_idx[e]: 1.0, v_idx[f]: b, v_idx[t]: -b, th_idx[f]: g,
-             th_idx[t]: -g, phi_idx[e]: -b},
-            EQ, -b, f"qflow_def[{e}]",
-        )
-        lp.add_row(
-            {pt_idx[e]: 1.0, phi_idx[e]: g, th_idx[t]: b, th_idx[f]: -b},
-            EQ, g, f"pflow_rev_def[{e}]",
-        )
-        lp.add_row(
-            {qt_idx[e]: 1.0, v_idx[t]: b, v_idx[f]: -b, th_idx[t]: g,
-             th_idx[f]: -g, phi_idx[e]: -b},
-            EQ, -b, f"qflow_rev_def[{e}]",
-        )
+    # directed flow definitions from the linearized flow model: P and Q
+    # leaving each branch's from end, then leaving its to end
+    y = np.array([1.0 / complex(br.r, br.x) for br in branches])
+    g, b = y.real, y.imag
+    terms = []
+    for k, (p_col, q_col, near, far) in enumerate([(pf_col, qf_col, f, t), (pt_col, qt_col, t, f)]):
+        p, q = 4 * np.arange(ne) + 2 * k, 4 * np.arange(ne) + 2 * k + 1
+        terms += [(p, p_col, 1.0), (p, phi_col, g), (p, th_col[near], b), (p, th_col[far], -b),
+                  (q, q_col, 1.0), (q, v_col[near], b), (q, v_col[far], -b),
+                  (q, th_col[near], g), (q, th_col[far], -g), (q, phi_col, -b)]
+    rhs = np.column_stack([g, -b, g, -b])
+    lp.rows(
+        terms, rhs, rhs,
+        [f"{kind}[{e}]" for e in range(ne)
+         for kind in ("pflow_def", "qflow_def", "pflow_rev_def", "qflow_rev_def")],
+    )
 
     # bus power balance with first-order shunt terms
-    for i, bus in enumerate(network.buses):
-        p_row: dict[int, float] = {}
-        q_row: dict[int, float] = {}
-        for g in network.gens_at(i):
-            p_row[pg_idx[g]] = 1.0
-            q_row[qg_idx[g]] = 1.0
-        for e in range(ne):
-            if network.f_idx[e] == i:
-                p_row[pf_idx[e]] = p_row.get(pf_idx[e], 0.0) - 1.0
-                q_row[qf_idx[e]] = q_row.get(qf_idx[e], 0.0) - 1.0
-            if network.t_idx[e] == i:
-                p_row[pt_idx[e]] = p_row.get(pt_idx[e], 0.0) - 1.0
-                q_row[qt_idx[e]] = q_row.get(qt_idx[e], 0.0) - 1.0
-        if bus.g_shunt != 0.0:
-            p_row[v_idx[i]] = p_row.get(v_idx[i], 0.0) - 2.0 * bus.g_shunt
-        if bus.b_shunt != 0.0:
-            q_row[v_idx[i]] = q_row.get(v_idx[i], 0.0) + 2.0 * bus.b_shunt
-        lp.add_row(p_row, EQ, bus.p_load + bus.g_shunt, f"pbal[{bus.id}]")
-        lp.add_row(q_row, EQ, bus.q_load - bus.b_shunt, f"qbal[{bus.id}]")
+    bus = np.arange(nb)
+    g_sh, b_sh = network.y_shunt.real, network.y_shunt.imag
+    gen_bus = network.gen_bus
+    rhs = np.column_stack([network.p_load + g_sh, network.q_load - b_sh])
+    lp.rows(
+        [(2 * gen_bus, pg_col, 1.0), (2 * f, pf_col, -1.0), (2 * t, pt_col, -1.0),
+         (2 * bus, v_col, -2.0 * g_sh),
+         (2 * gen_bus + 1, qg_col, 1.0), (2 * f + 1, qf_col, -1.0), (2 * t + 1, qt_col, -1.0),
+         (2 * bus + 1, v_col, 2.0 * b_sh)],
+        rhs, rhs,
+        [f"{kind}[{i}]" for i in ids for kind in ("pbal", "qbal")],
+    )
 
-    # cosine envelope tangents and angle-difference limits
-    for e, br in enumerate(network.branches):
-        f, t = int(network.f_idx[e]), int(network.t_idx[e])
-        points, _floor = cosine_cuts(br.theta_max, n_cos_tangents)
-        for k, point in enumerate(points):
-            lp.add_row(
-                {phi_idx[e]: 1.0, th_idx[f]: math.sin(point), th_idx[t]: -math.sin(point)},
-                LE, math.cos(point) + point * math.sin(point), f"cos_cut[{e},{k}]",
-            )
-        lp.add_row({th_idx[f]: 1.0, th_idx[t]: -1.0}, LE, br.theta_max, f"ang_hi[{e}]")
-        lp.add_row({th_idx[f]: 1.0, th_idx[t]: -1.0}, GE, -br.theta_max, f"ang_lo[{e}]")
+    # cosine envelope tangents and angle-difference limits; the tangents are
+    # made per distinct angle limit, in math.sin and math.cos because numpy's
+    # may round differently in the last bit
+    theta_max = np.array([br.theta_max for br in branches])
+    limits, which = np.unique(theta_max, return_inverse=True)
+    points = [cosine_cuts(limit, n_cos_tangents)[0] for limit in limits]
+    sines = np.reshape([[math.sin(p) for p in pts] for pts in points], (-1, n_cos_tangents))[which]
+    tops = np.reshape([[math.cos(p) + p * math.sin(p) for p in pts] for pts in points],
+                      (-1, n_cos_tangents))[which]
+    per = n_cos_tangents + 2
+    cut = per * np.arange(ne)[:, None] + np.arange(n_cos_tangents)
+    ang = per * np.arange(ne) + n_cos_tangents
+    lo = np.column_stack([np.full((ne, per - 1), -np.inf), -theta_max])
+    hi = np.column_stack([tops, theta_max, np.full(ne, np.inf)])
+    lp.rows(
+        [(cut, phi_col[:, None], 1.0), (cut, th_col[f][:, None], sines),
+         (cut, th_col[t][:, None], -sines),
+         (ang, th_col[f], 1.0), (ang, th_col[t], -1.0),
+         (ang + 1, th_col[f], 1.0), (ang + 1, th_col[t], -1.0)],
+        lo, hi,
+        [name for e in range(ne) for name in
+         [f"cos_cut[{e},{k}]" for k in range(n_cos_tangents)] + [f"ang_hi[{e}]", f"ang_lo[{e}]"]],
+    )
 
     # apparent-power discs as tangent half-planes, both terminals
-    for e, br in enumerate(network.branches):
-        if br.s_max <= 0.0:
-            continue
-        for k in range(n_circle_cuts):
-            alpha = 2.0 * math.pi * k / n_circle_cuts
-            ca, sa = math.cos(alpha), math.sin(alpha)
-            lp.add_row({pf_idx[e]: ca, qf_idx[e]: sa}, LE, br.s_max, f"smax_f[{e},{k}]")
-            lp.add_row({pt_idx[e]: ca, qt_idx[e]: sa}, LE, br.s_max, f"smax_t[{e},{k}]")
+    rated = np.flatnonzero([br.s_max > 0.0 for br in branches])
+    alphas = [2.0 * math.pi * k / n_circle_cuts for k in range(n_circle_cuts)]
+    ca = np.array([math.cos(alpha) for alpha in alphas])
+    sa = np.array([math.sin(alpha) for alpha in alphas])
+    disc = 2 * n_circle_cuts * np.arange(rated.size)[:, None] + 2 * np.arange(n_circle_cuts)
+    lp.rows(
+        [(disc, pf_col[rated, None], ca), (disc, qf_col[rated, None], sa),
+         (disc + 1, pt_col[rated, None], ca), (disc + 1, qt_col[rated, None], sa)],
+        -np.inf, np.repeat([branches[e].s_max for e in rated], 2 * n_circle_cuts),
+        [f"smax_{end}[{e},{k}]" for e in rated for k in range(n_circle_cuts) for end in "ft"],
+    )
 
     # near-nominal tie-break: |v| epigraph with a negligible cost
     if v_tiebreak > 0.0:
-        for i, bus in enumerate(network.buses):
-            if i == network.slack:
-                continue
-            dev = lp.add_var(f"vdev[{bus.id}]", 0.0, math.inf, cost=v_tiebreak)
-            lp.add_row({dev: 1.0, v_idx[i]: -1.0}, GE, 0.0, f"vdev_hi[{bus.id}]")
-            lp.add_row({dev: 1.0, v_idx[i]: 1.0}, GE, 0.0, f"vdev_lo[{bus.id}]")
+        dev_col = lp.columns([f"vdev[{ids[i]}]" for i in others], 0.0, np.inf, v_tiebreak)
+        dev = 2 * np.arange(others.size)
+        lp.rows(
+            [(dev, dev_col, 1.0), (dev, v_col[others], -1.0),
+             (dev + 1, dev_col, 1.0), (dev + 1, v_col[others], 1.0)],
+            0.0, np.inf,
+            [f"{kind}[{ids[i]}]" for i in others for kind in ("vdev_hi", "vdev_lo")],
+        )
 
     # secant epigraph of each quadratic generation cost
-    for g, gen in enumerate(network.generators):
+    cuts = []  # generator, slope, intercept, name
+    for k, gen in enumerate(gens):
         if gen.c2 == 0.0 or gen.p_max == gen.p_min:
-            lp.add_row(
-                {cost_idx[g]: 1.0, pg_idx[g]: -gen.c1},
-                GE, gen.c0, f"cost_cut[{g},0]",
-            )
+            cuts.append((k, gen.c1, gen.c0, f"cost_cut[{k},0]"))
             continue
         points = np.linspace(gen.p_min, gen.p_max, n_cost_segments + 1)
-        for k in range(n_cost_segments):
-            a, b_pt = points[k], points[k + 1]
+        for s, (a, b_pt) in enumerate(zip(points[:-1], points[1:])):
             slope = (gen.cost(b_pt) - gen.cost(a)) / (b_pt - a)
-            lp.add_row(
-                {cost_idx[g]: 1.0, pg_idx[g]: -slope},
-                GE, gen.cost(a) - slope * a, f"cost_cut[{g},{k}]",
-            )
-
-    return lp
+            cuts.append((k, slope, gen.cost(a) - slope * a, f"cost_cut[{k},{s}]"))
+    cut_gen, slopes, intercepts, names = zip(*cuts)
+    own = np.arange(len(cuts))
+    lp.rows(
+        [(own, cost_col[list(cut_gen)], 1.0), (own, pg_col[list(cut_gen)], -np.array(slopes))],
+        intercepts, np.inf, list(names),
+    )
+    return lp.program()
 
 
 def extract_solution(network: Network, lp: LinearProgram, x: np.ndarray) -> LpacSolution:
-    pos = {name: j for j, name in enumerate(lp.var_names)}
+    """Read a solution of build_lpac(network) by its column blocks."""
     nb, ne, ng = network.n_bus, network.n_branch, network.n_gen
-    v = np.array([x[pos[f"v[{bus.id}]"]] for bus in network.buses])
-    theta = np.array([x[pos[f"th[{bus.id}]"]] for bus in network.buses])
-    phi = np.array([x[pos[f"phi[{e}]"]] for e in range(ne)])
-    flows = np.column_stack(
-        [
-            [x[pos[f"pf[{e}]"]] for e in range(ne)],
-            [x[pos[f"qf[{e}]"]] for e in range(ne)],
-            [x[pos[f"pt[{e}]"]] for e in range(ne)],
-            [x[pos[f"qt[{e}]"]] for e in range(ne)],
-        ]
-    )
-    p_gen = np.array([x[pos[f"pg[{g}]"]] for g in range(ng)])
-    q_gen = np.array([x[pos[f"qg[{g}]"]] for g in range(ng)])
-    objective = float(sum(x[pos[f"cost[{g}]"]] for g in range(ng)))
-    return LpacSolution(v, theta, phi, flows, p_gen, q_gen, objective)
+    base = 2 * nb + 5 * ne + 3 * ng
+    if lp.n_var not in (base, base + nb - 1) or len(x) != lp.n_var:
+        raise ValueError(f"{lp.n_var}-column LP or {len(x)} values do not fit {network.name}")
+    v, theta = x[: 2 * nb].reshape(nb, 2).T
+    phi, flows, p_gen, q_gen, cost = np.split(x[2 * nb : base], np.cumsum([ne, 4 * ne, ng, ng]))
+    return LpacSolution(v, theta, phi, flows.reshape(4, ne).T, p_gen, q_gen, float(sum(cost)))
 
 
 def solve_lpac(
@@ -506,20 +516,8 @@ def lpac_to_measurements(network: Network, sol: LpacSolution) -> MeasurementSet:
     """
     p_inj = -network.p_load.copy()
     q_inj = -network.q_load.copy()
-    for g, bus in zip(range(network.n_gen), network.gen_bus):
-        p_inj[bus] += sol.p_gen[g]
-        q_inj[bus] += sol.q_gen[g]
+    np.add.at(p_inj, network.gen_bus, sol.p_gen)
+    np.add.at(q_inj, network.gen_bus, sol.q_gen)
     kinds = canonical_kinds(network)
-    values = np.concatenate(
-        [
-            1.0 + sol.v,
-            sol.theta,
-            p_inj,
-            q_inj,
-            sol.flows[:, 0],
-            sol.flows[:, 1],
-            sol.flows[:, 2],
-            sol.flows[:, 3],
-        ]
-    )
+    values = np.concatenate([1.0 + sol.v, sol.theta, p_inj, q_inj, *sol.flows.T])
     return MeasurementSet(kinds, values)

@@ -10,12 +10,10 @@ import sys
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 import acrestore
 from acrestore.lpac import (
-    EQ,
-    GE,
-    LE,
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
@@ -35,6 +33,39 @@ from acrestore.scenarios import ScenarioSpec, gen_load_scenarios
 # from the dense two-phase tableau simplex the package used before HiGHS.
 DENSE_SIMPLEX_OBJECTIVE = {"case5": 17522.55934868019, "case14": 7795.731533252087}
 
+LE, GE, EQ = "<=", ">=", "=="
+
+
+def array_lp(columns, rows):
+    """A LinearProgram from (lower, upper, cost) columns and (coeffs, sense,
+    rhs) rows, where coeffs maps column positions to coefficients."""
+    a_mat = np.zeros((len(rows), len(columns)))
+    row_lo = np.full(len(rows), -np.inf)
+    row_hi = np.full(len(rows), np.inf)
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        for j, val in coeffs.items():
+            a_mat[i, j] = val
+        if sense != LE:
+            row_lo[i] = rhs
+        if sense != GE:
+            row_hi[i] = rhs
+    lower, upper, cost = np.array(columns, dtype=float).T
+    return LinearProgram(
+        scipy.sparse.csr_array(a_mat), row_lo, row_hi, cost, lower, upper,
+        tuple(f"x{j}" for j in range(len(columns))), tuple(f"c{i}" for i in range(len(rows))),
+    )
+
+
+def row_senses(lp: LinearProgram):
+    """(dense row, sense, rhs) of each row of an LP without ranged rows."""
+    for row, lo, hi in zip(lp.a_mat.toarray(), lp.row_lo, lp.row_hi):
+        if lo == hi:
+            yield row, EQ, lo
+        elif lo == -math.inf:
+            yield row, LE, hi
+        else:
+            yield row, GE, lo
+
 
 def linprog_reference(lp: LinearProgram):
     """Solve a LinearProgram through linprog's dense A_ub/A_eq interface.
@@ -43,12 +74,8 @@ def linprog_reference(lp: LinearProgram):
     row and sign bookkeeping; the independent checks are the pinned
     objectives, vertex enumeration and the certificate tests below.
     """
-    n = lp.n_var
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, sense, rhs, _name in lp.rows:
-        row = np.zeros(n)
-        for j, val in coeffs.items():
-            row[j] = val
+    for row, sense, rhs in row_senses(lp):
         if sense == LE:
             a_ub.append(row)
             b_ub.append(rhs)
@@ -61,7 +88,7 @@ def linprog_reference(lp: LinearProgram):
     bounds = [(lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None)
               for lo, hi in zip(lp.lower, lp.upper)]
     return scipy.optimize.linprog(
-        lp.objective,
+        lp.c_vec,
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.array(a_eq) if a_eq else None,
@@ -77,27 +104,20 @@ def linprog_reference(lp: LinearProgram):
 
 
 def test_simplex_trivial_bound():
-    lp = LinearProgram()
-    x = lp.add_var("x", 0.0, math.inf, cost=1.0)
-    lp.add_row({x: 1.0}, GE, 3.0)
+    lp = array_lp([(0.0, math.inf, 1.0)], [({0: 1.0}, GE, 3.0)])
     result = simplex_solve(lp)
     assert result.x[0] == pytest.approx(3.0)
     assert verify_certificates(result)["ok"]
 
 
 def test_simplex_infeasible():
-    lp = LinearProgram()
-    x = lp.add_var("x", cost=1.0)
-    lp.add_row({x: 1.0}, LE, 0.0)
-    lp.add_row({x: 1.0}, GE, 1.0)
+    lp = array_lp([(-math.inf, math.inf, 1.0)], [({0: 1.0}, LE, 0.0), ({0: 1.0}, GE, 1.0)])
     with pytest.raises(InfeasibleError):
         simplex_solve(lp)
 
 
 def test_simplex_unbounded():
-    lp = LinearProgram()
-    x = lp.add_var("x", 0.0, math.inf, cost=-1.0)
-    lp.add_row({x: 1.0}, GE, 0.0)
+    lp = array_lp([(0.0, math.inf, -1.0)], [({0: 1.0}, GE, 0.0)])
     with pytest.raises(UnboundedError):
         simplex_solve(lp)
 
@@ -105,12 +125,10 @@ def test_simplex_unbounded():
 def test_simplex_degenerate_tie_terminates():
     # multiple optimal bases and a duplicated row: the solver must still
     # stop at an optimum that passes the certificate check
-    lp = LinearProgram()
-    x = lp.add_var("x", 0.0, math.inf, cost=1.0)
-    y = lp.add_var("y", 0.0, math.inf, cost=1.0)
-    lp.add_row({x: 1.0, y: 1.0}, GE, 1.0)
-    lp.add_row({x: 1.0, y: 1.0}, GE, 1.0)
-    lp.add_row({x: 1.0}, LE, 1.0)
+    lp = array_lp(
+        [(0.0, math.inf, 1.0), (0.0, math.inf, 1.0)],
+        [({0: 1.0, 1: 1.0}, GE, 1.0), ({0: 1.0, 1: 1.0}, GE, 1.0), ({0: 1.0}, LE, 1.0)],
+    )
     result = simplex_solve(lp)
     ref = linprog_reference(lp)
     assert result.objective == pytest.approx(ref.fun, abs=1e-9)
@@ -122,12 +140,8 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> float:
     """Brute-force oracle for a bounded LP: the best feasible point among all
     intersections of n constraint hyperplanes (rows and variable bounds)."""
     n = lp.n_var
-    planes = []
-    for coeffs, _sense, rhs, _name in lp.rows:
-        row = np.zeros(n)
-        for j, val in coeffs.items():
-            row[j] = val
-        planes.append((row, rhs))
+    rows = list(row_senses(lp))
+    planes = [(row, rhs) for row, _sense, rhs in rows]
     for j in range(n):
         for bound in (lp.lower[j], lp.upper[j]):
             if math.isfinite(bound):
@@ -141,12 +155,12 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> float:
         feasible = all(
             lo - 1e-9 <= v <= hi + 1e-9 for v, lo, hi in zip(point, lp.lower, lp.upper)
         )
-        for coeffs, sense, rhs, _name in lp.rows:
-            act = sum(val * point[j] for j, val in coeffs.items())
+        for row, sense, rhs in rows:
+            act = sum(row * point)
             feasible &= {LE: act <= rhs + 1e-9, GE: act >= rhs - 1e-9,
                          EQ: abs(act - rhs) <= 1e-9}[sense]
         if feasible:
-            best = min(best, float(np.dot(lp.objective, point)))
+            best = min(best, float(np.dot(lp.c_vec, point)))
     return best
 
 
@@ -155,13 +169,12 @@ def test_simplex_matches_vertex_enumeration_on_random_lps():
     solved = infeasible = 0
     for _ in range(40):
         n, m = int(rng.integers(2, 4)), int(rng.integers(2, 7))
-        lp = LinearProgram()
-        for j in range(n):
-            lp.add_var(f"x{j}", float(rng.uniform(-2.0, 0.0)), float(rng.uniform(0.5, 3.0)),
-                       cost=float(rng.normal()))
-        for _i in range(m):
-            coeffs = {j: float(rng.normal()) for j in range(n)}
-            lp.add_row(coeffs, (LE, GE, EQ)[int(rng.integers(0, 3))], float(rng.uniform(-1.0, 1.0)))
+        columns = [(float(rng.uniform(-2.0, 0.0)), float(rng.uniform(0.5, 3.0)),
+                    float(rng.normal())) for _j in range(n)]
+        rows = [({j: float(rng.normal()) for j in range(n)},
+                 (LE, GE, EQ)[int(rng.integers(0, 3))], float(rng.uniform(-1.0, 1.0)))
+                for _i in range(m)]
+        lp = array_lp(columns, rows)
         oracle = vertex_enumeration_optimum(lp)
         if math.isinf(oracle):
             with pytest.raises(InfeasibleError):
@@ -180,13 +193,11 @@ def test_simplex_matches_reference_on_random_lps():
     solved = 0
     for _ in range(60):
         n, m = int(rng.integers(2, 9)), int(rng.integers(2, 12))
-        lp = LinearProgram()
-        for j in range(n):
-            lp.add_var(f"x{j}", 0.0, float(rng.uniform(0.5, 4.0)), cost=float(rng.normal()))
-        for _i in range(m):
-            coeffs = {j: float(rng.normal()) for j in range(n)}
-            sense = (LE, GE)[int(rng.integers(0, 2))]
-            lp.add_row(coeffs, sense, float(rng.uniform(-1.0, 2.0)))
+        columns = [(0.0, float(rng.uniform(0.5, 4.0)), float(rng.normal())) for _j in range(n)]
+        rows = [({j: float(rng.normal()) for j in range(n)},
+                 (LE, GE)[int(rng.integers(0, 2))], float(rng.uniform(-1.0, 2.0)))
+                for _i in range(m)]
+        lp = array_lp(columns, rows)
         ref = linprog_reference(lp)
         try:
             mine = simplex_solve(lp)
@@ -202,21 +213,18 @@ def test_simplex_matches_reference_on_random_lps():
 
 
 def test_simplex_equality_and_free_variables():
-    lp = LinearProgram()
-    x = lp.add_var("x", cost=2.0)          # free
-    y = lp.add_var("y", -1.0, 5.0, cost=-1.0)
-    lp.add_row({x: 1.0, y: 1.0}, EQ, 2.0)
-    lp.add_row({x: -1.0, y: 2.0}, LE, 4.0)
+    lp = array_lp(
+        [(-math.inf, math.inf, 2.0), (-1.0, 5.0, -1.0)],  # x free, y boxed
+        [({0: 1.0, 1: 1.0}, EQ, 2.0), ({0: -1.0, 1: 2.0}, LE, 4.0)],
+    )
     mine = simplex_solve(lp)
     ref = linprog_reference(lp)
     assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
 def test_iteration_limit_raises():
-    lp = LinearProgram()
-    xs = [lp.add_var(f"x{j}", 0.0, math.inf, cost=-1.0) for j in range(4)]
-    for j in range(4):
-        lp.add_row({xs[j]: 1.0, xs[(j + 1) % 4]: 0.5}, LE, 2.0)
+    lp = array_lp([(0.0, math.inf, -1.0)] * 4,
+                  [({j: 1.0, (j + 1) % 4: 0.5}, LE, 2.0) for j in range(4)])
     with pytest.raises(IterationLimitError):
         simplex_solve(lp, max_iter=1)
 
@@ -224,13 +232,35 @@ def test_iteration_limit_raises():
 def tight_lp():
     # min x + 3y  s.t.  x + 2y >= 4,  x - y <= 1,  y <= 10; optimum (2, 1)
     # with row duals (4/3, -1/3, 0)
-    lp = LinearProgram()
-    x = lp.add_var("x", 0.0, math.inf, cost=1.0)
-    y = lp.add_var("y", cost=3.0)
-    lp.add_row({x: 1.0, y: 2.0}, GE, 4.0, "cover")
-    lp.add_row({x: 1.0, y: -1.0}, LE, 1.0, "spread")
-    lp.add_row({y: 1.0}, LE, 10.0, "cap")
-    return lp
+    return array_lp(
+        [(0.0, math.inf, 1.0), (-math.inf, math.inf, 3.0)],
+        [({0: 1.0, 1: 2.0}, GE, 4.0), ({0: 1.0, 1: -1.0}, LE, 1.0), ({1: 1.0}, LE, 10.0)],
+    )
+
+
+def test_linear_program_rejects_malformed_arrays():
+    lp = tight_lp()
+    nan_coefficient = lp.a_mat.copy()
+    nan_coefficient.data[0] = np.nan
+    malformed = {
+        "a_mat": nan_coefficient,
+        "row_hi": np.array([np.inf, np.nan, 10.0]),
+        "lower": np.array([np.nan, -np.inf]),
+        "upper": np.array([-1.0, np.inf]),           # below x's lower bound 0
+        "row_lo": np.array([4.0, 2.0, -np.inf]),     # above the second row's 1
+        "c_vec": np.array([1.0, 3.0, 0.0]),          # three costs, two columns
+        "row_names": ("c0", "c1"),
+    }
+    for name, value in malformed.items():
+        with pytest.raises(ValueError):
+            dataclasses.replace(lp, **{name: value})
+
+
+def test_lp_text_refuses_a_ranged_row():
+    lp = tight_lp()
+    ranged = dataclasses.replace(lp, row_lo=np.array([4.0, 0.0, -np.inf]))
+    with pytest.raises(ValueError, match="two finite sides"):
+        write_lp_text(ranged)
 
 
 def test_certificate_accepts_optimum():
@@ -278,11 +308,11 @@ def test_certificate_rejects_nonzero_free_column_reduced_cost():
 
 
 def test_import_leaves_lp_solver_modules_unloaded():
-    # scipy.optimize and scipy.sparse are imported on the first solve only:
-    # importing them costs ~0.3 s and ~20 MB, which every process that never
-    # solves an LP would pay. The estimator and its sensitivity use numpy
-    # only, so no scipy module at all may load before that first solve, not
-    # at import and not lazily during a restoration and a sensitivity.
+    # scipy.sparse and scipy.optimize are imported on the first LP build or
+    # solve only: importing them costs ~0.3 s and ~20 MB, which every process
+    # that never builds an LP would pay. The estimator and its sensitivity
+    # use numpy only, so no scipy module at all may load before that, not at
+    # import and not lazily during a restoration and a sensitivity.
     src = os.path.dirname(os.path.dirname(acrestore.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -347,6 +377,55 @@ def expected_row_count(network, n_cos, n_circle, n_cost):
     for gen in network.generators:
         rows += 1 if (gen.c2 == 0.0 or gen.p_max == gen.p_min) else n_cost
     return rows
+
+
+def expected_names(network, n_cos, n_circle, n_cost):
+    """Column and row names of build_lpac in the order its docstring gives."""
+    ids = [bus.id for bus in network.buses]
+    others = [bus.id for i, bus in enumerate(network.buses) if i != network.slack]
+    ne, ng = network.n_branch, network.n_gen
+    columns = [f"{kind}[{i}]" for i in ids for kind in ("v", "th")]
+    columns += [f"{kind}[{e}]" for kind in ("phi", "pf", "qf", "pt", "qt") for e in range(ne)]
+    columns += [f"{kind}[{g}]" for kind in ("pg", "qg", "cost") for g in range(ng)]
+    columns += [f"vdev[{i}]" for i in others]
+    rows = [f"{kind}[{e}]" for e in range(ne)
+            for kind in ("pflow_def", "qflow_def", "pflow_rev_def", "qflow_rev_def")]
+    rows += [f"{kind}[{i}]" for i in ids for kind in ("pbal", "qbal")]
+    for e in range(ne):
+        rows += [f"cos_cut[{e},{k}]" for k in range(n_cos)] + [f"ang_hi[{e}]", f"ang_lo[{e}]"]
+    for e, br in enumerate(network.branches):
+        if br.s_max > 0:
+            rows += [f"smax_{end}[{e},{k}]" for k in range(n_circle) for end in "ft"]
+    rows += [f"{kind}[{i}]" for i in others for kind in ("vdev_hi", "vdev_lo")]
+    for g, gen in enumerate(network.generators):
+        cuts = 1 if (gen.c2 == 0.0 or gen.p_max == gen.p_min) else n_cost
+        rows += [f"cost_cut[{g},{k}]" for k in range(cuts)]
+    return columns, rows
+
+
+@pytest.mark.parametrize("name,counts", [("two_bus", (7, 8, 4)), ("case5", (9, 8, 6))])
+def test_lp_layout_follows_documented_order(request, name, counts):
+    # HiGHS's pivoting path depends on the column and row order
+    network = request.getfixturevalue(name)
+    lp = build_lpac(network, *counts)
+    columns, rows = expected_names(network, *counts)
+    assert lp.var_names == tuple(columns)
+    assert lp.row_names == tuple(rows)
+    assert len(rows) == expected_row_count(network, *counts)
+    sol = extract_solution(network, lp, np.arange(lp.n_var, dtype=float))
+    col = {label: j for j, label in enumerate(columns)}
+    buses, branches = [bus.id for bus in network.buses], range(network.n_branch)
+    gens = range(network.n_gen)
+    assert np.array_equal(sol.v, [col[f"v[{i}]"] for i in buses])
+    assert np.array_equal(sol.theta, [col[f"th[{i}]"] for i in buses])
+    assert np.array_equal(sol.phi, [col[f"phi[{e}]"] for e in branches])
+    assert np.array_equal(sol.flows, [[col[f"{kind}[{e}]"] for kind in ("pf", "qf", "pt", "qt")]
+                                      for e in branches])
+    assert np.array_equal(sol.p_gen, [col[f"pg[{g}]"] for g in gens])
+    assert np.array_equal(sol.q_gen, [col[f"qg[{g}]"] for g in gens])
+    assert sol.objective == sum(col[f"cost[{g}]"] for g in gens)
+    with pytest.raises(ValueError):
+        extract_solution(network, lp, np.arange(lp.n_var + 1.0))
 
 
 def test_lp_dimensions_two_bus(two_bus):
