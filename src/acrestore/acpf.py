@@ -7,11 +7,13 @@ magnitudes, angles, net bus injections, and directed branch flows, all in
 per-unit and radians.
 
 A measurement layout is a sequence of MeasurementKind. `compile_layout`
-validates one once into a Layout: its rows grouped by kind family, with the
-magnitude and angle state columns of every row's buses, and the topology
-(slack bus, branch endpoints) it was compiled for. `eval_h`,
-`jacobian_values` and `eval_H` take either a sequence, compiled on each
-call, or a Layout, used as is.
+validates one once into a Layout: its rows grouped by kind family, where
+each row's value lies in the pool of quantities a state implies
+(`h_source`), and the topology (slack bus, branch endpoints) it was
+compiled for. `eval_h`, `jacobian_values` and `eval_H` take either a
+sequence, compiled on each call, or a Layout, used as is. `eval_h` fills
+that pool and gathers the rows from it, as `jacobian_values` gathers the
+Jacobian from its derivative pool.
 
 A Layout also carries the sparsity pattern of its Jacobian: the positions
 the topology allows to be nonzero at any state, where each one's value
@@ -161,20 +163,6 @@ class StateVector:
 _KIND_CODE = {name: code for code, name in enumerate(ALL_KINDS)}
 
 
-class BusColumns(NamedTuple):
-    """State columns of one bus per row of a group (for flows, one terminal).
-
-    `vm` is the magnitude column of each row's bus (its position). Rows whose
-    bus is the slack have no angle column: `keep` marks the others, `rows`
-    are their layout rows and `va` their angle columns.
-    """
-
-    vm: np.ndarray
-    keep: np.ndarray
-    rows: np.ndarray
-    va: np.ndarray
-
-
 class JacobianPattern(NamedTuple):
     """Where H may be nonzero, where its values come from, and which
     products H' W H sums.
@@ -211,10 +199,12 @@ class Layout:
     """A validated measurement layout, compiled once and reused as is.
 
     `kinds` is the sequence it was compiled from. `groups` maps each kind
-    family present to its row positions and its bus or branch indices;
-    `columns` maps va to the BusColumns of its buses and each flow family to
-    those of its from and to terminals. A layout fits the networks with the
-    slack bus and branch endpoints (`f_idx`, `t_idx`) it was compiled for.
+    family present to its row positions and its bus or branch indices.
+    `h_source` is where each row's value lies in the real view of the pool
+    `eval_h` fills at a state: vm, va, then the complex bus injections,
+    from-side flows and to-side flows, real and imaginary parts interleaved.
+    A layout fits the networks with the slack bus and branch endpoints
+    (`f_idx`, `t_idx`) it was compiled for.
     """
 
     kinds: tuple
@@ -225,7 +215,7 @@ class Layout:
     f_idx: np.ndarray
     t_idx: np.ndarray
     groups: dict
-    columns: dict
+    h_source: np.ndarray
 
     @cached_property
     def pattern(self) -> JacobianPattern:
@@ -269,15 +259,18 @@ class Layout:
                 add(group_rows[at], bus, 1 + pair, imag)
                 add(group_rows[at][angle], angle_col[bus[angle]], 1 + n_pairs + pair[angle], imag)
             elif name == "va":
-                (bus,) = self.columns[name]
-                add(bus.rows, bus.va, np.zeros_like(bus.va), 0)
+                angle = idx != self.slack
+                add(group_rows[angle], angle_col[idx[angle]], np.zeros_like(idx[angle]), 0)
             else:
                 # the pool holds the from side's four derivatives, then the to side's
                 side = flow_offset + 4 * self.n_branch * (name in ("pt", "qt"))
-                for terminal, bus in enumerate(self.columns[name]):
+                for terminal, ends in enumerate((self.f_idx, self.t_idx)):
                     vm_at = side + terminal * self.n_branch
-                    add(group_rows, bus.vm, vm_at + idx, imag)
-                    add(bus.rows, bus.va, vm_at + 2 * self.n_branch + idx[bus.keep], imag)
+                    bus = ends[idx]
+                    angle = bus != self.slack
+                    add(group_rows, bus, vm_at + idx, imag)
+                    add(group_rows[angle], angle_col[bus[angle]],
+                        vm_at + 2 * self.n_branch + idx[angle], imag)
         # no position repeats: each bus pair is listed once and a branch joins two buses
         key = np.concatenate(rows) * n + np.concatenate(cols)
         order = np.argsort(key)
@@ -367,25 +360,18 @@ def compile_layout(network: Network, kinds) -> Layout:
             raise MeasurementError(f"{k.kind}[{k.index}] out of range")
         raise MeasurementError(f"duplicate measurement {k.kind}[{k.index}]")
 
-    def bus_columns(rows, buses):
-        keep = buses != network.slack
-        kept = buses[keep]
-        return BusColumns(buses, keep, rows[keep], network.n_bus + kept - (kept > network.slack))
-
-    groups, columns = {}, {}
+    groups = {}
     for code, name in enumerate(ALL_KINDS):
         rows = np.flatnonzero(codes == code)
-        if not rows.size:
-            continue
-        idx = index[rows]
-        groups[name] = (rows, idx)
-        if name == "va":
-            columns[name] = (bus_columns(rows, idx),)
-        elif name in BRANCH_KINDS:
-            columns[name] = (bus_columns(rows, network.f_idx[idx]),
-                             bus_columns(rows, network.t_idx[idx]))
-    return Layout(kinds, m, network.n_bus, network.n_branch, network.slack,
-                  network.f_idx, network.t_idx, groups, columns)
+        if rows.size:
+            groups[name] = (rows, index[rows])
+    # per kind code, the offset of its block in eval_h's pool and the step per index
+    nb, ne = network.n_bus, network.n_branch
+    offset = np.array([0, nb, 2 * nb, 2 * nb + 1, 4 * nb, 4 * nb + 1,
+                       4 * nb + 2 * ne, 4 * nb + 2 * ne + 1])
+    stride = np.array([1, 1, 2, 2, 2, 2, 2, 2])
+    return Layout(kinds, m, nb, ne, network.slack, network.f_idx, network.t_idx, groups,
+                  offset[codes] + stride[codes] * index)
 
 
 def _branch_flows(network: Network, v: np.ndarray):
@@ -399,36 +385,16 @@ def eval_h(network: Network, state: StateVector, kinds) -> np.ndarray:
     """Evaluate the measurement functions at the given state.
 
     `kinds` is a sequence of MeasurementKind, validated and compiled on this
-    call, or a Layout from `compile_layout`, used as is.
+    call, or a Layout from `compile_layout`, used as is. Every injection and
+    flow is computed, and the rows are read at the layout's `h_source`.
     """
     layout = compile_layout(network, kinds)
-    groups = layout.groups
     v = state.voltages()
-    out = np.empty(layout.m)
-    need_inj = "pinj" in groups or "qinj" in groups
-    need_flow = any(name in groups for name in BRANCH_KINDS)
-    s_inj = v * np.conj(network.ybus @ v) if need_inj else None
-    s_from = s_to = None
-    if need_flow:
-        s_from, s_to = _branch_flows(network, v)
-    for name, (rows, idx) in groups.items():
-        if name == "vm":
-            out[rows] = state.vm[idx]
-        elif name == "va":
-            out[rows] = state.va[idx]
-        elif name == "pinj":
-            out[rows] = s_inj[idx].real
-        elif name == "qinj":
-            out[rows] = s_inj[idx].imag
-        elif name == "pf":
-            out[rows] = s_from[idx].real
-        elif name == "qf":
-            out[rows] = s_from[idx].imag
-        elif name == "pt":
-            out[rows] = s_to[idx].real
-        else:
-            out[rows] = s_to[idx].imag
-    return out
+    s_inj = v * np.conj(network.ybus @ v)
+    s_from, s_to = _branch_flows(network, v)
+    pool = np.concatenate((state.vm, state.va, s_inj.view(float), s_from.view(float),
+                           s_to.view(float)))
+    return pool.take(layout.h_source)
 
 
 def _injection_derivatives(network: Network, v: np.ndarray, bus: np.ndarray,

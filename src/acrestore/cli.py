@@ -318,14 +318,16 @@ def cmd_eval(args) -> int:
     layout = test_recs[0].z.kinds
     methods: dict = {}
 
-    has_angles = any(k.kind == "va" for k in layout)
-    if has_angles:
-        nb = network.n_bus
+    # raw takes every bus's magnitude and angle verbatim, wherever their rows lie
+    row = {(k.kind, k.index): i for i, k in enumerate(layout)}
+    buses = range(network.n_bus)
+    if all((kind, bus) in row for kind in ("vm", "va") for bus in buses):
+        vm_rows = [row["vm", bus] for bus in buses]
+        va_rows = [row["va", bus] for bus in buses]
 
         def raw_state(rec):
-            vm = rec.z.values[:nb]
-            va = rec.z.values[nb : 2 * nb] - rec.z.values[nb + network.slack]
-            return StateVector(vm, va, network.slack)
+            va = rec.z.values[va_rows]
+            return StateVector(rec.z.values[vm_rows], va - va[network.slack], network.slack)
 
         states, mean_time, times = _timed_states(raw_state, test_recs)
         methods["raw"] = _method_entry(network, test_recs, states, mean_time, times)

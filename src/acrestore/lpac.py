@@ -490,15 +490,10 @@ def extract_solution(network: Network, lp: LinearProgram, x: np.ndarray) -> Lpac
     return LpacSolution(v, theta, phi, flows.reshape(4, ne).T, p_gen, q_gen, float(sum(cost)))
 
 
-def solve_lpac(
-    network: Network,
-    n_cos_tangents: int = 9,
-    n_circle_cuts: int = 8,
-    n_cost_segments: int = 6,
-    check: bool = False,
-) -> LpacSolution:
-    """Build and solve the linear approximation; optionally verify certificates."""
-    lp = build_lpac(network, n_cos_tangents, n_circle_cuts, n_cost_segments)
+def solve_lpac(network: Network, check: bool = False) -> LpacSolution:
+    """Build and solve the linear approximation with `build_lpac`'s default
+    cuts; optionally verify certificates."""
+    lp = build_lpac(network)
     result = simplex_solve(lp)
     if check:
         cert = verify_certificates(result)

@@ -227,9 +227,6 @@ def synth_dataset(
 def build_lpac_dataset(
     network: Network,
     loads: list,
-    n_cos_tangents: int = 9,
-    n_circle_cuts: int = 8,
-    n_cost_segments: int = 6,
     ground_truth: list | None = None,
 ) -> list[ScenarioRecord]:
     """Measurements from the linear approximation, per load scenario.
@@ -245,9 +242,7 @@ def build_lpac_dataset(
     for s, (p_load, q_load) in enumerate(loads):
         scen_net = network.with_loads(p_load, q_load)
         try:
-            sol = solve_lpac(
-                scen_net, n_cos_tangents, n_circle_cuts, n_cost_segments
-            )
+            sol = solve_lpac(scen_net)
         except SimplexError as exc:
             logger.warning("scenario %d skipped (approximation): %s", s, exc)
             continue

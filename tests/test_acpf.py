@@ -457,12 +457,16 @@ def dense_jacobian(network, state, kinds):
     v = state.voltages()
     v_norm = np.exp(1j * state.va)
     h_mat = np.zeros((layout.m, network.n_state))
+    # the state column of each bus's angle; the slack bus has none
+    angle_col = {bus: nb + bus - (bus > network.slack)
+                 for bus in range(nb) if bus != network.slack}
     if "vm" in groups:
         rows, idx = groups["vm"]
         h_mat[rows, idx] = 1.0
     if "va" in groups:
-        (bus,) = layout.columns["va"]
-        h_mat[bus.rows, bus.va] = 1.0
+        for row, bus in zip(*groups["va"]):
+            if bus in angle_col:
+                h_mat[row, angle_col[bus]] = 1.0
     if "pinj" in groups or "qinj" in groups:
         i_inj = network.ybus @ v
         v_unit = np.exp(1j * np.angle(v))
@@ -498,11 +502,13 @@ def dense_jacobian(network, state, kinds):
             continue
         rows, idx = groups[name]
         d_vmf, d_vmt, d_vaf, d_vat = (part(d)[idx] for d in side)
-        from_bus, to_bus = layout.columns[name]
-        h_mat[rows, from_bus.vm] = d_vmf
-        h_mat[rows, to_bus.vm] = d_vmt
-        h_mat[from_bus.rows, from_bus.va] = d_vaf[from_bus.keep]
-        h_mat[to_bus.rows, to_bus.va] = d_vat[to_bus.keep]
+        h_mat[rows, f[idx]] = d_vmf
+        h_mat[rows, t[idx]] = d_vmt
+        for row, e, d_from, d_to in zip(rows, idx, d_vaf, d_vat):
+            if f[e] in angle_col:
+                h_mat[row, angle_col[f[e]]] = d_from
+            if t[e] in angle_col:
+                h_mat[row, angle_col[t[e]]] = d_to
     return h_mat
 
 
@@ -543,6 +549,22 @@ def test_jacobian_values_are_the_dense_jacobian_bit_for_bit(name, request):
             values = jacobian_values(network, state, layout)
             assert np.array_equal(values, dense.take(layout.pattern.entries))
             assert np.array_equal(jacobian_values(network, state, kinds), values)
+
+
+@pytest.mark.parametrize("name", ["case5", "case14"])
+def test_eval_h_is_the_operating_point_bit_for_bit(name, request):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(67)
+    states = [StateVector.flat(network)] + [perturbed_state(network, rng) for _ in range(2)]
+    for kinds in sparse_layouts(network, rng):
+        layout = compile_layout(network, kinds)
+        for state in states:
+            op = operating_point(network, state)
+            table = {"vm": state.vm, "va": state.va, "pinj": op.p_inj, "qinj": op.q_inj}
+            table.update(zip(BRANCH_KINDS, op.flows.T))
+            expected = np.array([table[k.kind][k.index] for k in kinds])
+            assert np.array_equal(eval_h(network, state, layout), expected)
+            assert np.array_equal(eval_h(network, state, kinds), expected)
 
 
 @pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from acrestore.cli import main
 from acrestore import fileio
+from acrestore.acpf import MeasurementKind
 from acrestore.netmodel import load_bundled_case
 import importlib.resources
 
@@ -142,6 +144,39 @@ def test_eval_deterministic_losses(case_path, tmp_path):
             reports[0]["methods"][method]["loss"]
             == reports[1]["methods"][method]["loss"]
         )
+
+
+def rewritten_dataset(src, dst, network, keep):
+    """A copy of a dataset whose measurement rows are those at `keep`, in that order."""
+    records, _, _, manifest = fileio.read_dataset(src, network)
+    records = [dataclasses.replace(rec, z=rec.z.subset(keep)) for rec in records]
+    fileio.write_dataset(dst, network, records, manifest["train_indices"],
+                         manifest["test_indices"], {"source": manifest["source"]})
+    return dst
+
+
+def test_eval_raw_reads_voltages_by_kind(case_path, tmp_path):
+    data = tmp_path / "ds"
+    assert run("scenarios", "--case", case_path, "--count", "10", "--seed", "4",
+               "--source", "synthetic", "--out", str(data)) == 0
+    net = load_bundled_case("case5")
+    kinds = fileio.read_dataset(data, net)[0][0].z.kinds
+    datasets = {
+        "canonical": data,
+        "permuted": rewritten_dataset(data, tmp_path / "permuted", net,
+                                      np.random.default_rng(0).permutation(len(kinds))),
+        "no va[2]": rewritten_dataset(data, tmp_path / "no-va", net,
+                                      [i for i, k in enumerate(kinds)
+                                       if k != MeasurementKind("va", 2)]),
+    }
+    methods = {}
+    for name, path in datasets.items():
+        out = tmp_path / f"report-{name}"
+        assert run("eval", "--case", case_path, "--data", str(path), "--out", str(out)) == 0
+        with open(out / "report.json") as fh:
+            methods[name] = json.load(fh)["methods"]
+    assert methods["permuted"]["raw"]["loss"] == methods["canonical"]["raw"]["loss"]
+    assert "raw" not in methods["no va[2]"] and "benchmark" in methods["no va[2]"]
 
 
 def test_eval_curve_output(case_path, tmp_path):
