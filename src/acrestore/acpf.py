@@ -87,9 +87,6 @@ class MeasurementSet:
     def m(self) -> int:
         return len(self.kinds)
 
-    def validate(self, network: Network):
-        compile_layout(network, self.kinds)
-
     def subset(self, keep) -> "MeasurementSet":
         keep = list(keep)
         return MeasurementSet(
@@ -628,7 +625,7 @@ def benchmark_restore(network: Network, z: MeasurementSet) -> OperatingPoint:
     entry for every generator bus and a pinj entry for every non-slack
     generator bus.
     """
-    z.validate(network)
+    compile_layout(network, z.kinds)
     table = {(k.kind, k.index): z.values[row] for row, k in enumerate(z.kinds)}
     gen_buses = set(int(b) for b in network.gen_buses())
     slack = network.slack

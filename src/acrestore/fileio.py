@@ -16,10 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acpf import (
+    ALL_KINDS,
+    BRANCH_KINDS,
+    BUS_KINDS,
     MeasurementKind,
     MeasurementSet,
     OperatingPoint,
     StateVector,
+    canonical_kinds,
     compile_layout,
 )
 from .netmodel import Network
@@ -67,6 +71,13 @@ def read_json(path, expected_schema: str) -> dict:
     return payload
 
 
+def require(payload: dict, key: str, path):
+    """payload[key], or a FormatError naming the file and the missing key."""
+    if key not in payload:
+        raise FormatError(f"{path}: missing field {key!r}")
+    return payload[key]
+
+
 def network_hash(network: Network) -> str:
     """The network's case hash, which it computes once (`Network.case_hash`)."""
     return network.case_hash
@@ -86,7 +97,7 @@ def check_network_hash(payload: dict, network: Network, path):
 
 
 def kind_to_json(network: Network, kind: MeasurementKind) -> dict:
-    if kind.kind in ("vm", "va", "pinj", "qinj"):
+    if kind.kind in BUS_KINDS:
         return {"kind": kind.kind, "bus": network.buses[kind.index].id}
     br = network.branches[kind.index]
     return {
@@ -99,12 +110,12 @@ def kind_to_json(network: Network, kind: MeasurementKind) -> dict:
 
 def kind_from_json(network: Network, item: dict) -> MeasurementKind:
     name = item.get("kind")
-    if name in ("vm", "va", "pinj", "qinj"):
+    if name in BUS_KINDS:
         bus = item.get("bus")
         if bus not in network.bus_index:
             raise FormatError(f"unknown bus {bus!r} in layout")
         return MeasurementKind(name, network.bus_index[bus])
-    if name in ("pf", "qf", "pt", "qt"):
+    if name in BRANCH_KINDS:
         branch = item.get("branch")
         if not isinstance(branch, int) or not (0 <= branch < network.n_branch):
             raise FormatError(f"unknown branch {branch!r} in layout")
@@ -231,25 +242,18 @@ def solution_to_measurements(network: Network, sol: SolutionFile) -> Measurement
     Angles are re-referenced by subtracting the file's slack angle, keeping
     them comparable to the internal zero-at-slack convention.
     """
-    kinds: list[MeasurementKind] = []
-    values: list[float] = []
-    kinds += [MeasurementKind("vm", i) for i in range(network.n_bus)]
-    values += list(sol.vm)
+    present = {"vm": sol.vm}
     if sol.va is not None:
-        va = np.asarray(sol.va) - sol.va[network.slack]
-        kinds += [MeasurementKind("va", i) for i in range(network.n_bus)]
-        values += list(va)
+        present["va"] = np.asarray(sol.va) - sol.va[network.slack]
     if sol.p_inj is not None:
-        kinds += [MeasurementKind("pinj", i) for i in range(network.n_bus)]
-        values += list(sol.p_inj)
+        present["pinj"] = sol.p_inj
     if sol.q_inj is not None:
-        kinds += [MeasurementKind("qinj", i) for i in range(network.n_bus)]
-        values += list(sol.q_inj)
+        present["qinj"] = sol.q_inj
     if sol.flows is not None:
-        for col, name in enumerate(("pf", "qf", "pt", "qt")):
-            kinds += [MeasurementKind(name, e) for e in range(network.n_branch)]
-            values += list(sol.flows[:, col])
-    return MeasurementSet(tuple(kinds), np.array(values))
+        present.update(zip(BRANCH_KINDS, np.asarray(sol.flows).T))
+    kinds = tuple(k for k in canonical_kinds(network) if k.kind in present)
+    values = np.concatenate([present[name] for name in ALL_KINDS if name in present])
+    return MeasurementSet(kinds, values)
 
 
 def operating_point_solution(network: Network, op: OperatingPoint, formulation: str) -> SolutionFile:
@@ -283,8 +287,8 @@ def write_weights(path, network: Network, kinds, weights: np.ndarray):
 def read_weights(path, network: Network):
     payload = read_json(path, WEIGHTS_SCHEMA)
     check_network_hash(payload, network, path)
-    kinds = layout_from_json(network, payload["layout"])
-    values = np.asarray(payload["values"], dtype=float)
+    kinds = layout_from_json(network, require(payload, "layout", path))
+    values = np.asarray(require(payload, "values", path), dtype=float)
     if values.size != len(kinds):
         raise FormatError(f"{path}: {values.size} weights for {len(kinds)} kinds")
     return kinds, values
@@ -346,27 +350,32 @@ def write_dataset(root, network: Network, records, train_idx, test_idx, meta: di
 def read_dataset(root, network: Network):
     """Returns (records, train_records, test_records, manifest)."""
     root = os.fspath(root)
-    manifest = read_json(os.path.join(root, "manifest.json"), MANIFEST_SCHEMA)
+    manifest_path = os.path.join(root, "manifest.json")
+    manifest = read_json(manifest_path, MANIFEST_SCHEMA)
     check_network_hash(manifest, network, root)
-    kinds = layout_from_json(network, manifest["layout"])
+    kinds = layout_from_json(network, require(manifest, "layout", manifest_path))
     compile_layout(network, kinds)  # one shared layout, validated once
     records = []
-    for name in manifest["records"]:
-        payload = read_json(os.path.join(root, name), RECORD_SCHEMA)
-        z = MeasurementSet(kinds, np.asarray(payload["z"], dtype=float))
+    for name in require(manifest, "records", manifest_path):
+        path = os.path.join(root, name)
+        payload = read_json(path, RECORD_SCHEMA)
+        z = MeasurementSet(kinds, np.asarray(require(payload, "z", path), dtype=float))
         records.append(
             ScenarioRecord(
-                p_load=np.asarray(payload["p_load"], dtype=float),
-                q_load=np.asarray(payload["q_load"], dtype=float),
-                x_ac=state_from_json(payload["x_ac"], network.slack),
+                p_load=np.asarray(require(payload, "p_load", path), dtype=float),
+                q_load=np.asarray(require(payload, "q_load", path), dtype=float),
+                x_ac=state_from_json(require(payload, "x_ac", path), network.slack),
                 z=z,
                 source_tag=str(payload.get("source", "unknown")),
-                index=int(payload["index"]),
+                index=int(require(payload, "index", path)),
             )
         )
     by_index = {rec.index: rec for rec in records}
-    train = [by_index[i] for i in manifest["train_indices"]]
-    test = [by_index[i] for i in manifest["test_indices"]]
+    try:
+        train = [by_index[i] for i in require(manifest, "train_indices", manifest_path)]
+        test = [by_index[i] for i in require(manifest, "test_indices", manifest_path)]
+    except KeyError as exc:
+        raise FormatError(f"{manifest_path}: no record has index {exc.args[0]!r}") from exc
     return records, train, test, manifest
 
 

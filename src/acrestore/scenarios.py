@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acpf import (
+    BUS_KINDS,
     MeasurementError,
     MeasurementSet,
     PfSpec,
@@ -63,7 +64,7 @@ class NoiseProfile:
     flow: float = 5e-3
 
     def std_for(self, kind: str) -> float:
-        if kind in ("vm", "va", "pinj", "qinj"):
+        if kind in BUS_KINDS:
             return getattr(self, kind)
         return self.flow
 
@@ -144,9 +145,7 @@ def economic_dispatch(network: Network) -> np.ndarray:
     return p
 
 
-def dispatch_spec(
-    network: Network, p_gen: np.ndarray | None = None, vm_target: float = 1.0
-) -> PfSpec:
+def dispatch_spec(network: Network, p_gen: np.ndarray | None = None) -> PfSpec:
     """PV/PQ/slack power-flow targets for a given dispatch at flat voltage goals."""
     if p_gen is None:
         p_gen = proportional_dispatch(network)
@@ -162,7 +161,7 @@ def dispatch_spec(
         types,
         p_bus - network.p_load,
         -network.q_load,
-        np.full(network.n_bus, vm_target),
+        np.ones(network.n_bus),
     )
 
 

@@ -2,7 +2,9 @@
 
 Training minimizes the squared voltage-space distance between restored
 states and ground-truth states over a scenario dataset by adjusting the
-diagonal measurement weights. Each record's gradient is the adjoint product
+diagonal measurement weights. It is full batch: every Adam iteration
+restores every record, and Adam's constants (moment decays, epsilon, and
+the weight floor) are fixed. Each record's gradient is the adjoint product
 S' (x_r - x_ac) of the weight sensitivity with its state mismatch, computed
 by `solution_sensitivity` without forming S. `train_weights` warm-starts
 each record's restoration from the state it converged to on the previous
@@ -23,6 +25,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,20 +58,21 @@ class ScenarioRecord:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Full-batch Adam: learning rate, iterations, starting weights (None =
+    `default_initial_weights`) and gradient-pass threads. Adam's constants
+    and the weight floor are fixed class constants, not options."""
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
+    w_floor: ClassVar[float] = W_FLOOR
+
     eta: float = 10.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_iter: int = 200
     w_init: np.ndarray | None = None
-    w_floor: float = W_FLOOR
-    rng_seed: int = 0
-    batch_size: int | None = None  # None = full batch
     threads: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("moment decay factors must lie in (0, 1)")
         if self.eta <= 0.0:
             raise ValueError("learning rate must be positive")
 
@@ -130,9 +134,8 @@ def loss(dataset: list[ScenarioRecord], restored: list[StateVector]) -> float:
     return total / denom
 
 
-def _restore_and_weigh(network, rec, weights, x0, tol, max_iter, layout):
-    result = wls_restore(network, rec.z, weights, x0=x0, tol=tol, max_iter=max_iter,
-                         layout=layout)
+def _restore_and_weigh(network, rec, weights, x0, layout):
+    result = wls_restore(network, rec.z, weights, x0=x0, layout=layout)
     if not result.converged:
         raise ConvergenceError(
             f"restoration did not converge in {result.iterations} iterations"
@@ -147,8 +150,6 @@ def _gradient_pass(
     network: Network,
     dataset: list[ScenarioRecord],
     weights: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 50,
     threads: int = 1,
     starts: list | None = None,
 ):
@@ -166,9 +167,7 @@ def _gradient_pass(
 
     def work(i):
         try:
-            per_record[i] = _restore_and_weigh(
-                network, dataset[i], weights, starts[i], tol, max_iter, layout
-            )
+            per_record[i] = _restore_and_weigh(network, dataset[i], weights, starts[i], layout)
         except Exception as exc:  # noqa: BLE001 - any solver failure skips the record
             logger.warning("record %d skipped: %s", dataset[i].index, exc)
 
@@ -233,8 +232,8 @@ def train_weights(
 ) -> tuple[np.ndarray, TrainTrace]:
     """Run the full-batch gradient-descent training loop.
 
-    Each outer iteration restores every (batch) record with the current
-    weights, starting from the state the record converged to on its last
+    Each outer iteration restores every record with the current weights,
+    starting from the state the record converged to on its last
     restoration (flat on the first, and after a skip), accumulates the
     analytic gradient, applies one Adam update, and records the loss of the
     restorations that produced the gradient.
@@ -250,21 +249,13 @@ def train_weights(
     m_t = np.zeros_like(w)
     v_t = np.zeros_like(w)
     trace = TrainTrace()
-    rng = np.random.default_rng(config.rng_seed)
-    warm: list = [None] * len(train_set)  # last restored state of each record
+    states = None  # last restored state of each record, None where skipped
 
     for t in range(1, config.max_iter + 1):
-        if config.batch_size and config.batch_size < len(train_set):
-            pick = sorted(rng.choice(len(train_set), size=config.batch_size, replace=False))
-        else:
-            pick = range(len(train_set))
-        batch = [train_set[i] for i in pick]
         grad, states, gn_iters = _gradient_pass(
-            network, batch, w, threads=config.threads, starts=[warm[i] for i in pick]
+            network, train_set, w, threads=config.threads, starts=states
         )
-        for i, state in zip(pick, states):
-            warm[i] = state
-        survivors = [rec for rec, state in zip(batch, states) if state is not None]
+        survivors = [rec for rec, state in zip(train_set, states) if state is not None]
         restored = [state for state in states if state is not None]
         trace.record(loss(survivors, restored), grad, gn_iters, len(survivors))
         w, m_t, v_t = adam_step(w, m_t, v_t, grad, t, config)

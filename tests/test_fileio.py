@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from acrestore import (
     serialize_case,
 )
 from acrestore import fileio, netmodel
-from acrestore.acpf import MeasurementError
+from acrestore.acpf import MeasurementError, MeasurementKind, MeasurementSet
 from acrestore.fileio import (
     FormatError,
     SolutionFile,
@@ -87,6 +88,45 @@ def test_measurements_re_reference_angles(case5, tmp_path):
     assert z.values == pytest.approx(z_ref.values)
 
 
+def hand_built_measurements(network, sol):
+    """Reference: the canonical layout built kind by kind from Python lists."""
+    kinds, values = [], []
+    kinds += [MeasurementKind("vm", i) for i in range(network.n_bus)]
+    values += list(sol.vm)
+    if sol.va is not None:
+        va = np.asarray(sol.va) - sol.va[network.slack]
+        kinds += [MeasurementKind("va", i) for i in range(network.n_bus)]
+        values += list(va)
+    if sol.p_inj is not None:
+        kinds += [MeasurementKind("pinj", i) for i in range(network.n_bus)]
+        values += list(sol.p_inj)
+    if sol.q_inj is not None:
+        kinds += [MeasurementKind("qinj", i) for i in range(network.n_bus)]
+        values += list(sol.q_inj)
+    if sol.flows is not None:
+        for col, name in enumerate(("pf", "qf", "pt", "qt")):
+            kinds += [MeasurementKind(name, e) for e in range(network.n_branch)]
+            values += list(sol.flows[:, col])
+    return MeasurementSet(tuple(kinds), np.array(values))
+
+
+@pytest.mark.parametrize("case", ["case5", "case14"])
+def test_measurements_match_the_hand_built_layout(case, request):
+    network = request.getfixturevalue(case)
+    sol = solved_solution(network)
+    for keep in itertools.product([False, True], repeat=4):
+        va, p_inj, q_inj, flows = (
+            part if kept else None
+            for part, kept in zip((sol.va + 0.3, sol.p_inj, sol.q_inj, sol.flows), keep)
+        )
+        partial = SolutionFile("pf", sol.vm, va, p_inj, q_inj, flows)
+        z = solution_to_measurements(network, partial)
+        ref = hand_built_measurements(network, partial)
+        assert z.kinds == ref.kinds, keep
+        assert np.array_equal(z.values, ref.values), keep
+        assert z.values.dtype == ref.values.dtype, keep
+
+
 def test_consistent_solution_restores_exactly(case5, tmp_path):
     state = newton_pf(case5, dispatch_spec(case5))
     op = operating_point(case5, state)
@@ -104,6 +144,17 @@ def test_weights_roundtrip(case5, tmp_path):
     kinds2, weights2 = read_weights(path, case5)
     assert kinds2 == kinds
     assert weights2 == pytest.approx(weights)
+
+
+def test_weights_without_layout_is_a_format_error(case5, tmp_path):
+    kinds = canonical_kinds(case5)
+    path = tmp_path / "weights.json"
+    write_weights(path, case5, kinds, default_initial_weights(kinds))
+    payload = json.loads(path.read_text())
+    del payload["layout"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=r"weights\.json: missing field 'layout'"):
+        read_weights(path, case5)
 
 
 def test_dataset_roundtrip(case5, tmp_path):
@@ -131,6 +182,28 @@ def test_dataset_manifest_with_repeated_entry_rejected(case5, tmp_path):
     manifest["layout"][1] = manifest["layout"][0]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(MeasurementError, match="duplicate measurement"):
+        read_dataset(root, case5)
+
+
+@pytest.mark.parametrize("file, key, edit, message", [
+    ("manifest.json", "train_indices", "append", r"manifest\.json: no record has index 99"),
+    ("manifest.json", "test_indices", "append", r"manifest\.json: no record has index 99"),
+    ("manifest.json", "records", "delete", r"manifest\.json: missing field 'records'"),
+    ("records/s00001.json", "z", "delete", r"s00001\.json: missing field 'z'"),
+], ids=["train-index", "test-index", "manifest-key", "record-key"])
+def test_malformed_dataset_is_a_format_error(case5, tmp_path, file, key, edit, message):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=3))
+    records = synth_dataset(case5, loads, seed=4)
+    root = tmp_path / "ds"
+    write_dataset(root, case5, records, [0], [1], {"source": "synthetic"})
+    path = root / file
+    payload = json.loads(path.read_text())
+    if edit == "append":
+        payload[key].append(99)
+    else:
+        del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=message):
         read_dataset(root, case5)
 
 

@@ -13,6 +13,7 @@ import scipy.optimize
 import scipy.sparse
 
 import acrestore
+from acrestore.acpf import compile_layout
 from acrestore.lpac import (
     InfeasibleError,
     IterationLimitError,
@@ -518,7 +519,7 @@ def test_measurement_packing(case5):
     sol = solve_lpac(case5)
     z = lpac_to_measurements(case5, sol)
     assert z.m == 2 * 5 + 2 * 5 + 4 * 6
-    z.validate(case5)
+    compile_layout(case5, z.kinds)
     # vm entries are deviations shifted back to magnitudes
     assert z.values[:5] == pytest.approx(1.0 + sol.v)
     # flow entries are the LP variables verbatim

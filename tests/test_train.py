@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,16 @@ def test_solver_error_skips_record(case5, caplog, monkeypatch, threads, fault, m
 # ---------------------------------------------------------------------------
 
 
+def test_train_config_options_and_fixed_adam_constants():
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "eta", "max_iter", "w_init", "threads"
+    ]
+    assert (TrainConfig.beta1, TrainConfig.beta2, TrainConfig.epsilon) == (0.9, 0.999, 1e-8)
+    assert TrainConfig.w_floor == wls.W_FLOOR
+    with pytest.raises(ValueError, match="learning rate must be positive"):
+        TrainConfig(eta=0.0)
+
+
 def test_adam_first_step_closed_form():
     config = TrainConfig(eta=2.0)
     g = np.array([3.0, -0.5, 1e-12])
@@ -211,7 +223,7 @@ def test_adam_momentum_moves_on_zero_gradient():
 
 
 def test_adam_clamps_at_floor():
-    config = TrainConfig(eta=100.0, w_floor=1e-8)
+    config = TrainConfig(eta=100.0)
     g = np.array([50.0])
     w = np.array([1.0])
     w1, _, _ = adam_step(w, np.zeros(1), np.zeros(1), g, 1, config)
@@ -296,10 +308,10 @@ def test_gradient_pass_compiles_its_layout_once(case5, monkeypatch, threads):
     assert isinstance(handed[0], acpf.Layout) and all(layout is handed[0] for layout in handed)
 
 
-def test_determinism_same_seed(case5):
+def test_full_batch_training_is_deterministic(case5):
     rng = np.random.default_rng(11)
     records = [make_record(case5, rng, noise_std=2e-3, index=i) for i in range(6)]
-    config = TrainConfig(max_iter=4, batch_size=3, rng_seed=42)
+    config = TrainConfig(max_iter=4)
     w1, t1 = train_weights(case5, records, config)
     w2, t2 = train_weights(case5, records, config)
     assert np.array_equal(w1, w2)
