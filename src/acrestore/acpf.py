@@ -94,22 +94,12 @@ class MeasurementSet:
         )
 
 
-def canonical_kinds(
-    network: Network, with_va: bool = True, with_injections: bool = True,
-    with_flows: bool = True,
-) -> tuple[MeasurementKind, ...]:
+def canonical_kinds(network: Network) -> tuple[MeasurementKind, ...]:
     """The canonical layout: vm, va, pinj, qinj by bus, then flows by branch."""
-    kinds: list[MeasurementKind] = []
-    kinds += [MeasurementKind("vm", i) for i in range(network.n_bus)]
-    if with_va:
-        kinds += [MeasurementKind("va", i) for i in range(network.n_bus)]
-    if with_injections:
-        kinds += [MeasurementKind("pinj", i) for i in range(network.n_bus)]
-        kinds += [MeasurementKind("qinj", i) for i in range(network.n_bus)]
-    if with_flows:
-        for name in BRANCH_KINDS:
-            kinds += [MeasurementKind(name, e) for e in range(network.n_branch)]
-    return tuple(kinds)
+    return tuple(
+        [MeasurementKind(name, i) for name in BUS_KINDS for i in range(network.n_bus)]
+        + [MeasurementKind(name, e) for name in BRANCH_KINDS for e in range(network.n_branch)]
+    )
 
 
 @dataclass(frozen=True)
@@ -568,6 +558,24 @@ def newton_pf(
     raise PowerFlowError("unreachable")
 
 
+def generator_bus_spec(network: Network, p_set: np.ndarray, vm_set: np.ndarray) -> PfSpec:
+    """The slack at the slack bus, PV at every other bus with a generating
+    unit, PQ elsewhere.
+
+    `p_set` (net injections) is read at the PV buses and `vm_set` at the
+    slack and PV buses; each PQ bus injects minus its load.
+    """
+    has_unit = np.bincount(network.gen_bus, minlength=network.n_bus) > 0
+    bus_type = [PV if unit else PQ for unit in has_unit.tolist()]
+    bus_type[network.slack] = SLACK
+    return PfSpec(
+        tuple(bus_type),
+        np.where(has_unit, p_set, -network.p_load),
+        np.where(has_unit, 0.0, -network.q_load),
+        np.where(has_unit, vm_set, 1.0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Operating points, benchmark restoration, constraint reporting
 # ---------------------------------------------------------------------------
@@ -588,21 +596,19 @@ class OperatingPoint:
 def _split_bus_generation(network: Network, p_bus: np.ndarray, q_bus: np.ndarray):
     """Distribute bus-level generation over co-located units.
 
-    The split is proportional to each unit's p_max (q_max for reactive),
+    The split is proportional to each unit's p_max (|q_max| for reactive),
     falling back to an equal split when all capacities at the bus are zero.
     """
-    p_gen = np.zeros(network.n_gen)
-    q_gen = np.zeros(network.n_gen)
-    for bus in network.gen_buses():
-        units = network.gens_at(bus)
-        p_caps = np.array([network.generators[g].p_max for g in units])
-        q_caps = np.array([abs(network.generators[g].q_max) for g in units])
-        p_w = p_caps / p_caps.sum() if p_caps.sum() > 0 else np.full(len(units), 1 / len(units))
-        q_w = q_caps / q_caps.sum() if q_caps.sum() > 0 else np.full(len(units), 1 / len(units))
-        for w_p, w_q, g in zip(p_w, q_w, units):
-            p_gen[g] = w_p * p_bus[bus]
-            q_gen[g] = w_q * q_bus[bus]
-    return p_gen, q_gen
+    at = network.gen_bus
+    equal = 1.0 / np.bincount(at)[at]
+
+    def share(caps):
+        total = np.bincount(at, caps, minlength=network.n_bus)[at]
+        return np.divide(caps, total, out=equal.copy(), where=total > 0)
+
+    p_share = share(np.array([g.p_max for g in network.generators]))
+    q_share = share(np.array([abs(g.q_max) for g in network.generators]))
+    return p_share * p_bus[at], q_share * q_bus[at]
 
 
 def operating_point(network: Network, state: StateVector) -> OperatingPoint:
@@ -626,40 +632,26 @@ def benchmark_restore(network: Network, z: MeasurementSet) -> OperatingPoint:
     generator bus.
     """
     compile_layout(network, z.kinds)
-    table = {(k.kind, k.index): z.values[row] for row, k in enumerate(z.kinds)}
-    gen_buses = set(int(b) for b in network.gen_buses())
-    slack = network.slack
+    table = {(k.kind, k.index): value for k, value in zip(z.kinds, z.values)}
+    gen_buses = network.gen_buses().tolist()
+    pv_buses = [bus for bus in gen_buses if bus != network.slack]
 
-    missing = []
-    for bus in sorted(gen_buses):
-        if ("vm", bus) not in table:
-            missing.append(f"vm[bus {network.buses[bus].id}]")
-        if bus != slack and ("pinj", bus) not in table:
-            missing.append(f"pinj[bus {network.buses[bus].id}]")
+    missing = [
+        f"{kind}[bus {network.buses[bus].id}]"
+        for bus in gen_buses
+        for kind in ("vm", "pinj")
+        if (kind, bus) not in table and (kind == "vm" or bus != network.slack)
+    ]
     if missing:
         raise MeasurementError(
             "benchmark restoration needs " + ", ".join(missing)
         )
 
-    bus_type = []
-    p_set = np.zeros(network.n_bus)
-    q_set = np.zeros(network.n_bus)
     vm_set = np.ones(network.n_bus)
-    for bus in range(network.n_bus):
-        if bus == slack:
-            bus_type.append(SLACK)
-            vm_set[bus] = table[("vm", bus)]
-        elif bus in gen_buses:
-            bus_type.append(PV)
-            vm_set[bus] = table[("vm", bus)]
-            p_set[bus] = table[("pinj", bus)]
-        else:
-            bus_type.append(PQ)
-            p_set[bus] = -network.p_load[bus]
-            q_set[bus] = -network.q_load[bus]
-
-    spec = PfSpec(tuple(bus_type), p_set, q_set, vm_set)
-    state = newton_pf(network, spec)
+    vm_set[gen_buses] = [table[("vm", bus)] for bus in gen_buses]
+    p_set = np.zeros(network.n_bus)
+    p_set[pv_buses] = [table[("pinj", bus)] for bus in pv_buses]
+    state = newton_pf(network, generator_bus_spec(network, p_set, vm_set))
     return operating_point(network, state)
 
 
@@ -690,15 +682,11 @@ def constraint_report(network: Network, op: OperatingPoint) -> ViolationReport:
 
     p_bus = op.p_inj + network.p_load
     q_bus = op.q_inj + network.q_load
-    p_lo = np.zeros(network.n_bus)
-    p_hi = np.zeros(network.n_bus)
-    q_lo = np.zeros(network.n_bus)
-    q_hi = np.zeros(network.n_bus)
-    for g, bus in zip(network.generators, network.gen_bus):
-        p_lo[bus] += g.p_min
-        p_hi[bus] += g.p_max
-        q_lo[bus] += g.q_min
-        q_hi[bus] += g.q_max
+    p_lo, p_hi, q_lo, q_hi = (
+        np.bincount(network.gen_bus, [getattr(g, name) for g in network.generators],
+                    minlength=network.n_bus)
+        for name in ("p_min", "p_max", "q_min", "q_max")
+    )
     g_viol = np.maximum.reduce(
         [p_lo - p_bus, p_bus - p_hi, q_lo - q_bus, q_bus - q_hi, np.zeros(network.n_bus)]
     )

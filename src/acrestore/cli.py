@@ -63,6 +63,7 @@ logger = logging.getLogger(__name__)
 ERROR_CATEGORIES = [
     (CaseError, "case-format"),
     (fileio.FormatError, "file-format"),
+    (OSError, "io"),
     (MeasurementError, "measurement-layout"),
     (UnobservableError, "unobservable"),
     (PowerFlowError, "power-flow"),

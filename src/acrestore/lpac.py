@@ -215,8 +215,11 @@ def verify_certificates(result: SimplexResult, tol: float = _FEAS_TOL) -> dict:
     - bound_violation: worst variable-bound violation;
     - min_row_dual: smallest sign-adjusted row dual (y on >= rows, -y on <=
       rows);
-    - min_reduced_cost: the same for the reduced costs d = c - A'y, so a free
-      column counts -|d|; a column with two finite bounds may price either way;
+    - min_reduced_cost: the same for the reduced costs d = c - A'y, each
+      scaled by the terms it cancels, d_j / max(1, |c_j| + sum_i |a_ij y_i|),
+      so a free column counts -|d_j| at that scale; a column with two finite
+      bounds may price either way. Unscaled, rounding alone exceeds 1e-9 where
+      those terms sum to 1e4-1e5 (case57 and case118);
     - gap: |c'x - dual objective| / max(1, |c'x|), the dual objective pricing
       each row and column at the bound its multiplier's sign selects.
     Feasibility on both sides with a zero gap implies complementary slackness,
@@ -231,8 +234,9 @@ def verify_certificates(result: SimplexResult, tol: float = _FEAS_TOL) -> dict:
     bound_excess = np.maximum(lp.lower - x, x - lp.upper)
     bound_violation = float(np.max(bound_excess, initial=0.0))
     reduced = lp.c_vec - lp.a_mat.T @ y
+    cancelled = np.maximum(1.0, abs(lp.c_vec) + abs(lp.a_mat).T @ abs(y))
     min_row_dual = _sign_margin(y, lp.row_lo, lp.row_hi)
-    min_reduced = _sign_margin(reduced, lp.lower, lp.upper)
+    min_reduced = _sign_margin(reduced / cancelled, lp.lower, lp.upper)
     primal = float(lp.c_vec @ x)
     dual = float(
         y @ _priced_at(y, lp.row_lo, lp.row_hi, ax)

@@ -199,7 +199,7 @@ class Network:
         if not any(g.bus == self.buses[self.slack].id for g in self.generators):
             raise SlackError(f"slack bus {self.buses[self.slack].id} has no generator")
 
-        nb, ne = len(self.buses), len(self.branches)
+        nb = len(self.buses)
         f_idx = np.array([index[br.from_bus] for br in self.branches], dtype=int)
         t_idx = np.array([index[br.to_bus] for br in self.branches], dtype=int)
         two_ports = [branch_two_port(br) for br in self.branches]
@@ -209,13 +209,15 @@ class Network:
         y_tt = np.array([tp[3] for tp in two_ports], dtype=complex)
         y_shunt = np.array([complex(b.g_shunt, b.b_shunt) for b in self.buses])
 
+        # one unbuffered add in branch order, each branch adding ff, ft, tf, tt,
+        # so every element sums its terms in the same order as a loop would
         ybus = np.zeros((nb, nb), dtype=complex)
-        for e in range(ne):
-            f, t = f_idx[e], t_idx[e]
-            ybus[f, f] += y_ff[e]
-            ybus[f, t] += y_ft[e]
-            ybus[t, f] += y_tf[e]
-            ybus[t, t] += y_tt[e]
+        np.add.at(
+            ybus,
+            (np.column_stack([f_idx, f_idx, t_idx, t_idx]).ravel(),
+             np.column_stack([f_idx, t_idx, f_idx, t_idx]).ravel()),
+            np.column_stack([y_ff, y_ft, y_tf, y_tt]).ravel(),
+        )
         ybus[np.arange(nb), np.arange(nb)] += y_shunt
 
         object.__setattr__(self, "f_idx", f_idx)
@@ -275,9 +277,6 @@ class Network:
     def gen_buses(self) -> np.ndarray:
         """Positions of buses that host at least one generator, ascending."""
         return np.unique(self.gen_bus)
-
-    def gens_at(self, bus_pos: int) -> list[int]:
-        return [g for g in range(self.n_gen) if self.gen_bus[g] == bus_pos]
 
     def with_loads(self, p_load: np.ndarray, q_load: np.ndarray) -> "Network":
         """A copy of this network with replaced per-bus loads (per-unit)."""

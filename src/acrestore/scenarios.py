@@ -23,9 +23,10 @@ from .acpf import (
     benchmark_restore,
     canonical_kinds,
     eval_h,
+    generator_bus_spec,
     newton_pf,
 )
-from .netmodel import Network, PQ, PV, SLACK
+from .netmodel import Network
 from .train import ScenarioRecord
 
 logger = logging.getLogger(__name__)
@@ -104,44 +105,41 @@ def proportional_dispatch(network: Network) -> np.ndarray:
 def economic_dispatch(network: Network) -> np.ndarray:
     """Equal-marginal-cost dispatch meeting total load inside unit bounds.
 
-    Solves the classic single-balance dispatch by bisecting the marginal
-    price; network limits are not considered, the slack absorbs losses.
+    The exact lambda-iteration (merit-order) solve: each unit's output is
+    piecewise linear in the marginal price, (price - c1) / 2 c2 clipped to
+    its bounds for a quadratic unit and a step from p_min to p_max at c1 for
+    a linear one. The first breakpoint where the fleet's output reaches the
+    load (clipped to the fleet's range) bounds the price. Below it the
+    price lies on a linear segment, which the units free there close by
+    their slopes at one common price; at it the price sits on a step, whose
+    linear units share the residual in proportion to p_max - p_min. Network
+    limits are not considered; the slack absorbs losses.
     """
-    gens = network.generators
-    mins = np.array([g.p_min for g in gens])
-    caps = np.array([g.p_max for g in gens])
-    c1 = np.array([g.c1 for g in gens])
-    c2 = np.array([g.c2 for g in gens])
+    mins, caps, c1, c2 = (
+        np.array([getattr(g, name) for g in network.generators])
+        for name in ("p_min", "p_max", "c1", "c2")
+    )
     target = float(np.clip(network.p_load.sum(), mins.sum(), caps.sum()))
-
-    def output(price):
-        p = np.where(
-            c2 > 0,
-            (price - c1) / np.maximum(2.0 * c2, 1e-300),
-            np.where(price >= c1, caps, mins),
-        )
-        return np.clip(p, mins, caps)
-
-    lo = float(c1.min()) - 1.0
-    hi = float((c1 + 2.0 * c2 * caps).max()) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if output(mid).sum() < target:
-            lo = mid
-        else:
-            hi = mid
-    p = output(hi)
-    # distribute the residual over units marginal at the clearing price
+    quadratic = c2 > 0
+    curvature = np.where(quadratic, 2.0 * c2, 1.0)
+    floor, ceiling = c1 + 2.0 * c2 * mins, c1 + 2.0 * c2 * caps
+    points = np.unique(np.concatenate([floor, ceiling]))
+    grid = points[:, None]
+    # output just below each breakpoint, and at it, where linear units step up
+    below = np.clip(
+        np.where(quadratic, (grid - c1) / curvature, np.where(grid > c1, caps, mins)), mins, caps
+    )
+    at = np.where(~quadratic & (grid == c1), caps, below)
+    # rounding may leave the fleet's top just short of a target at full capacity
+    k = min(int(np.searchsorted(at.sum(axis=1), target)), points.size - 1)
+    price, p = points[k], below[k]
     gap = target - p.sum()
-    if abs(gap) > 1e-12:
-        marginal = np.flatnonzero(
-            (c2 == 0) & (np.abs(c1 - hi) <= (hi - lo) + 1e-9) & (caps > mins)
-        )
-        if marginal.size == 0:
-            marginal = np.flatnonzero(caps > mins)
-        room = (caps - mins)[marginal]
-        share = room / room.sum()
-        p[marginal] = np.clip(p[marginal] + gap * share, mins[marginal], caps[marginal])
+    if gap > 0:
+        weight = np.where(~quadratic & (c1 == price), caps - mins, 0.0)
+    else:
+        weight = np.where(quadratic & (floor < price) & (price <= ceiling), 1.0 / curvature, 0.0)
+    if weight.sum() > 0:
+        p = np.clip(p + gap * weight / weight.sum(), mins, caps)
     return p
 
 
@@ -149,20 +147,8 @@ def dispatch_spec(network: Network, p_gen: np.ndarray | None = None) -> PfSpec:
     """PV/PQ/slack power-flow targets for a given dispatch at flat voltage goals."""
     if p_gen is None:
         p_gen = proportional_dispatch(network)
-    p_bus = np.zeros(network.n_bus)
-    for g, bus in zip(p_gen, network.gen_bus):
-        p_bus[bus] += g
-    gen_buses = set(int(b) for b in network.gen_buses())
-    types = tuple(
-        SLACK if i == network.slack else PV if i in gen_buses else PQ
-        for i in range(network.n_bus)
-    )
-    return PfSpec(
-        types,
-        p_bus - network.p_load,
-        -network.q_load,
-        np.ones(network.n_bus),
-    )
+    p_bus = np.bincount(network.gen_bus, p_gen, minlength=network.n_bus)
+    return generator_bus_spec(network, p_bus - network.p_load, np.ones(network.n_bus))
 
 
 def ground_truth_states(network: Network, loads: list) -> list[StateVector | None]:

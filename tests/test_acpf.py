@@ -680,6 +680,28 @@ def test_operating_point_self_consistency(case5):
     )
 
 
+def test_operating_point_splits_shared_bus_by_capacity(case5):
+    state = newton_pf(case5, proportional_spec(case5))
+    shared = np.flatnonzero(case5.gen_bus == case5.gen_bus[0])
+    assert shared.tolist() == [0, 1]
+    bus = case5.gen_bus[0]
+    op = operating_point(case5, state)
+    p_bus = op.p_inj[bus] + case5.p_load[bus]
+    q_bus = op.q_inj[bus] + case5.q_load[bus]
+    p_caps = np.array([case5.generators[g].p_max for g in shared])
+    q_caps = np.array([abs(case5.generators[g].q_max) for g in shared])
+    assert op.p_gen[shared] == pytest.approx(p_bus * p_caps / p_caps.sum(), rel=1e-15)
+    assert op.q_gen[shared] == pytest.approx(q_bus * q_caps / q_caps.sum(), rel=1e-15)
+    # with no capacity at the bus, the units split it equally
+    idle = list(case5.generators)
+    for g in shared:
+        idle[g] = dataclasses.replace(idle[g], p_max=0.0, q_min=0.0, q_max=0.0)
+    idle_net = Network(case5.base_mva, case5.buses, case5.branches, tuple(idle), case5.name)
+    op = operating_point(idle_net, state)
+    assert op.p_gen[shared].tolist() == [0.5 * p_bus, 0.5 * p_bus]
+    assert op.q_gen[shared].tolist() == [0.5 * q_bus, 0.5 * q_bus]
+
+
 def test_constraint_report_inside_bounds(case5):
     spec = proportional_spec(case5)
     state = newton_pf(case5, spec)

@@ -41,6 +41,12 @@ def test_parse_error_category(tmp_path, capsys):
     assert err.startswith("ERROR case-format:")
 
 
+def test_missing_case_file_error_category(tmp_path, capsys):
+    assert run("parse", "--case", str(tmp_path / "absent.m")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR io:")
+
+
 def test_pf_writes_solution(case_path, tmp_path, capsys):
     out = tmp_path / "pf.json"
     assert run("pf", "--case", case_path, "--out", str(out)) == 0

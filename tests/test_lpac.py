@@ -487,6 +487,23 @@ def test_lpac_certificate_on_former_defect_scenarios(case14, seed, index):
     assert cert["ok"], cert
 
 
+@pytest.mark.parametrize(
+    "name,index",
+    [("case57", None), ("case57", 0), ("case57", 3), ("case57", 9),
+     ("case118", 3), ("case118", 5), ("case118", 7), ("case118", 8)],
+)
+def test_lpac_certificate_scales_reduced_costs(all_fixtures, name, index):
+    # HiGHS optima whose absolute reduced costs reach -1.1e-9 to -5.6e-9:
+    # rounding in the sums of 1e4-1e5 they cancel. Scaled by those sums
+    # they sit near 1e-14. index None is the nominal load.
+    network = all_fixtures[name]
+    if index is not None:
+        loads = gen_load_scenarios(network, ScenarioSpec(count=10, seed=0))
+        network = network.with_loads(*loads[index])
+    cert = verify_certificates(simplex_solve(build_lpac(network)), tol=1e-9)
+    assert cert["ok"], cert
+
+
 def test_lpac_objective_nondecreasing_under_nested_refinement(case5):
     # nested tangent families tighten the outer envelope, so the minimum
     # cost can only go up

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from acrestore import benchmark_restore, eval_h, scenarios, wls_restore
 from acrestore.acpf import PowerFlowError
+from acrestore.netmodel import Network
 from acrestore.scenarios import (
     NoiseProfile,
     ScenarioSpec,
     build_lpac_dataset,
+    economic_dispatch,
     gen_load_scenarios,
     ground_truth_states,
     proportional_dispatch,
@@ -71,6 +75,101 @@ def test_proportional_dispatch_meets_load(case5):
     caps = np.array([g.p_max for g in case5.generators])
     assert np.all(p_gen <= caps + 1e-12)
     assert np.all(p_gen >= -1e-12)
+
+
+def bisection_dispatch(network):
+    """Reference: bisect the marginal price 200 times, then share what is
+    left over the linear units marginal at the price found."""
+    gens = network.generators
+    mins = np.array([g.p_min for g in gens])
+    caps = np.array([g.p_max for g in gens])
+    c1 = np.array([g.c1 for g in gens])
+    c2 = np.array([g.c2 for g in gens])
+    target = float(np.clip(network.p_load.sum(), mins.sum(), caps.sum()))
+
+    def output(price):
+        p = np.where(
+            c2 > 0,
+            (price - c1) / np.maximum(2.0 * c2, 1e-300),
+            np.where(price >= c1, caps, mins),
+        )
+        return np.clip(p, mins, caps)
+
+    lo = float(c1.min()) - 1.0
+    hi = float((c1 + 2.0 * c2 * caps).max()) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if output(mid).sum() < target:
+            lo = mid
+        else:
+            hi = mid
+    p = output(hi)
+    gap = target - p.sum()
+    if abs(gap) > 1e-12:
+        marginal = np.flatnonzero(
+            (c2 == 0) & (np.abs(c1 - hi) <= (hi - lo) + 1e-9) & (caps > mins)
+        )
+        if marginal.size == 0:
+            marginal = np.flatnonzero(caps > mins)
+        room = (caps - mins)[marginal]
+        p[marginal] = np.clip(p[marginal] + gap * room / room.sum(), mins[marginal],
+                              caps[marginal])
+    return p
+
+
+def unit_arrays(network, *names):
+    return [np.array([getattr(g, name) for g in network.generators]) for name in names]
+
+
+@pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])
+def test_economic_dispatch_matches_bisection(all_fixtures, name):
+    network = all_fixtures[name]
+    mins, caps, c1, c2 = unit_arrays(network, "p_min", "p_max", "c1", "c2")
+    at_cap = at_min = inside = 0
+    for sigma, scale in ((0.3, 1.0), (0.6, 0.5), (0.6, 1.5)):
+        for p_load, q_load in gen_load_scenarios(network, ScenarioSpec(40, sigma, seed=4)):
+            scen = network.with_loads(scale * p_load, q_load)
+            p = economic_dispatch(scen)
+            assert np.abs(p - bisection_dispatch(scen)).max() <= 1e-12
+            target = np.clip(scen.p_load.sum(), mins.sum(), caps.sum())
+            assert p.sum() == pytest.approx(target, abs=1e-12)
+            free = (c2 > 0) & (p > mins) & (p < caps)
+            marginal_cost = c1[free] + 2.0 * c2[free] * p[free]
+            if free.any():
+                assert np.ptp(marginal_cost) <= 1e-12 * marginal_cost.max()
+            at_cap += np.any(p == caps)
+            at_min += np.any(p == mins)
+            inside += np.any(free)
+    # the scenarios reach both unit bounds, and quadratic units between them
+    assert at_cap and at_min
+    assert inside or not c2.any()
+
+
+def test_economic_dispatch_shares_a_step_by_room(case5):
+    # case5's units are linear: merit order fills them at c1 = 10, 14, 15, 30, 40
+    # and the unit whose step meets the load takes the rest
+    assert economic_dispatch(case5) == pytest.approx([0.4, 1.7, 1.9, 0.0, 6.0], abs=1e-12)
+    # two units stepping at one price share the residual by p_max - p_min
+    gens = list(case5.generators)
+    gens[0] = dataclasses.replace(gens[0], p_min=0.1)
+    gens[1] = dataclasses.replace(gens[1], c1=gens[0].c1, p_min=0.2)
+    tied = Network(case5.base_mva, case5.buses, case5.branches, tuple(gens), case5.name)
+    tied = tied.with_loads(case5.p_load * (7.05 / case5.p_load.sum()), case5.q_load)
+    residual = 7.05 - 6.0 - 0.3
+    expected = [0.1 + residual * 0.3 / 1.8, 0.2 + residual * 1.5 / 1.8, 0.0, 0.0, 6.0]
+    assert economic_dispatch(tied) == pytest.approx(expected, abs=1e-12)
+    assert economic_dispatch(tied) == pytest.approx(bisection_dispatch(tied), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["case5", "case57"])
+def test_economic_dispatch_clips_load_outside_fleet_range(all_fixtures, name):
+    network = all_fixtures[name]
+    gens = tuple(dataclasses.replace(g, p_min=0.1 * g.p_max) for g in network.generators)
+    network = Network(network.base_mva, network.buses, network.branches, gens, network.name)
+    mins, caps = unit_arrays(network, "p_min", "p_max")
+    for scale, bound in ((0.0, mins), (0.01, mins), (10.0, caps)):
+        scen = network.with_loads(scale * network.p_load, network.q_load)
+        assert economic_dispatch(scen) == pytest.approx(bound, abs=1e-12)
 
 
 def test_synth_zero_noise_trains_to_noop(case5):
