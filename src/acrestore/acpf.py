@@ -95,11 +95,15 @@ class MeasurementSet:
 
 
 def canonical_kinds(network: Network) -> tuple[MeasurementKind, ...]:
-    """The canonical layout: vm, va, pinj, qinj by bus, then flows by branch."""
-    return tuple(
+    """The canonical layout: vm, va, pinj, qinj by bus, then flows by branch.
+
+    It is made once per topology, so every `with_loads` copy returns the
+    same tuple, and `compile_layout` compiles it once.
+    """
+    return network.per_topology("canonical_kinds", lambda: tuple(
         [MeasurementKind(name, i) for name in BUS_KINDS for i in range(network.n_bus)]
         + [MeasurementKind(name, e) for name in BRANCH_KINDS for e in range(network.n_branch)]
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -315,12 +319,18 @@ def compile_layout(network: Network, kinds) -> Layout:
     checking at each position the kind, then the index range, then whether
     the entry repeats an earlier one. A Layout is returned unchanged when
     it was compiled for the network's bus and branch counts, slack bus and
-    branch endpoints; otherwise MeasurementError is raised.
+    branch endpoints; otherwise MeasurementError is raised. The tuple
+    `canonical_kinds` returns is compiled once per topology.
     """
     if isinstance(kinds, Layout):
         _check_topology(kinds, network)
         return kinds
-    kinds = tuple(kinds)
+    if kinds is canonical_kinds(network):
+        return network.per_topology("canonical_layout", lambda: _compile(network, kinds))
+    return _compile(network, tuple(kinds))
+
+
+def _compile(network: Network, kinds: tuple) -> Layout:
     m = len(kinds)
     codes = np.array([_KIND_CODE.get(k.kind, -1) for k in kinds], dtype=int)
     index = np.array([k.index for k in kinds], dtype=int)

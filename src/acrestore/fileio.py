@@ -251,7 +251,11 @@ def solution_to_measurements(network: Network, sol: SolutionFile) -> Measurement
         present["qinj"] = sol.q_inj
     if sol.flows is not None:
         present.update(zip(BRANCH_KINDS, np.asarray(sol.flows).T))
-    kinds = tuple(k for k in canonical_kinds(network) if k.kind in present)
+    # the canonical tuple itself when every group is present, so its
+    # compiled layout is reused
+    kinds = canonical_kinds(network)
+    if len(present) < len(ALL_KINDS):
+        kinds = tuple(k for k in kinds if k.kind in present)
     values = np.concatenate([present[name] for name in ALL_KINDS if name in present])
     return MeasurementSet(kinds, values)
 
@@ -360,10 +364,14 @@ def read_dataset(root, network: Network):
         path = os.path.join(root, name)
         payload = read_json(path, RECORD_SCHEMA)
         z = MeasurementSet(kinds, np.asarray(require(payload, "z", path), dtype=float))
+        p_load, q_load = (np.asarray(require(payload, key, path), dtype=float)
+                          for key in ("p_load", "q_load"))
+        if p_load.shape != (network.n_bus,) or q_load.shape != (network.n_bus,):
+            raise FormatError(f"{path}: p_load and q_load need {network.n_bus} entries each")
         records.append(
             ScenarioRecord(
-                p_load=np.asarray(require(payload, "p_load", path), dtype=float),
-                q_load=np.asarray(require(payload, "q_load", path), dtype=float),
+                p_load=p_load,
+                q_load=q_load,
                 x_ac=state_from_json(require(payload, "x_ac", path), network.slack),
                 z=z,
                 source_tag=str(payload.get("source", "unknown")),

@@ -15,12 +15,19 @@ build_lpac assembles the model as arrays, one numpy block per row family,
 in a fixed column and row order (see build_lpac) with no zero coefficient
 stored. HiGHS's pivoting path depends on that order: reordering may change
 its iteration count and, among cost-equal optima, the vertex it returns.
+
+Only the bus balance rows' bounds depend on the loads. build_lpac
+assembles everything else once per topology, in the network's
+per-topology store shared by its `with_loads` copies, and each call copies
+the row bounds and writes the loads into them. The LPs it returns share
+the read-only matrix, costs and column bounds, and `linprog`'s row split,
+which `simplex_solve` computes on the first solve of the model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,6 +76,8 @@ class LinearProgram:
     upper: np.ndarray
     var_names: tuple[str, ...]
     row_names: tuple[str, ...]
+    # the form linprog takes, made on the first solve (see _linprog_form)
+    _linprog: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_row, n_var = self.a_mat.shape
@@ -150,6 +159,23 @@ class SimplexResult:
 _STATUS_ERRORS = {1: IterationLimitError, 2: InfeasibleError, 3: UnboundedError}
 
 
+def _linprog_form(lp: LinearProgram) -> tuple:
+    """The LP as linprog takes it, made on its first solve: the equality
+    rows and the others, the others' signs and A_ub (linprog takes
+    A_ub x <= b_ub, so >= rows enter negated), A_eq, and the column bounds
+    as one array. The LPs build_lpac derives from one model share it:
+    their bounds differ only in the values of equality rows."""
+    if "form" not in lp._linprog:
+        import scipy.sparse as sp
+
+        eq = lp.row_lo == lp.row_hi
+        ineq = ~eq
+        sign = np.where(np.isfinite(lp.row_lo), -1.0, 1.0)[ineq]
+        lp._linprog.setdefault("form", (eq, ineq, sign, sp.diags(sign) @ lp.a_mat[ineq],
+                                        lp.a_mat[eq], np.column_stack([lp.lower, lp.upper])))
+    return lp._linprog["form"]
+
+
 def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     """Solve with the HiGHS dual simplex shipped with scipy.
 
@@ -160,22 +186,17 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     # scipy.sparse and scipy.optimize are imported on first use: at module
     # level they cost every process that never builds or solves an LP ~0.3 s
     # and ~20 MB
-    import scipy.sparse as sp
     from scipy.optimize import linprog
 
-    eq = lp.row_lo == lp.row_hi
-    ineq = ~eq
-    # linprog takes A_ub x <= b_ub: >= rows enter negated
-    sign = np.where(np.isfinite(lp.row_lo), -1.0, 1.0)[ineq]
-    a_ub = sp.diags(sign) @ lp.a_mat[ineq]
+    eq, ineq, sign, a_ub, a_eq, bounds = _linprog_form(lp)
     b_ub = sign * np.where(sign < 0, lp.row_lo[ineq], lp.row_hi[ineq])
     res = linprog(
         lp.c_vec,
         A_ub=a_ub,
         b_ub=b_ub,
-        A_eq=lp.a_mat[eq],
+        A_eq=a_eq,
         b_eq=lp.row_hi[eq],
-        bounds=np.column_stack([lp.lower, lp.upper]),
+        bounds=bounds,
         method="highs-ds",
         options={} if max_iter is None else {"maxiter": max_iter},
     )
@@ -358,9 +379,36 @@ def build_lpac(
     near-nominal point among cost-equal optima; deviation magnitudes are
     otherwise degenerate on shunt-free networks. Pass v_tiebreak=0 to drop
     the penalty.
+
+    The load-independent model is built once per topology and its four
+    settings, and shared read-only by the LPs returned; each call copies
+    only the row bounds and writes the network's loads into the balance
+    rows (4 * n_branch onward, P and Q interleaved per bus).
     """
     if n_cos_tangents < 2 or n_circle_cuts < 2 or n_cost_segments < 2:
         raise ValueError("tangent, circle-cut, and cost-segment counts must be >= 2")
+    settings = (n_cos_tangents, n_circle_cuts, n_cost_segments,
+                v_tiebreak if v_tiebreak > 0.0 else 0.0)
+    model = network.per_topology(("lpac",) + settings, lambda: _build_model(network, *settings))
+    balance = slice(4 * network.n_branch, 4 * network.n_branch + 2 * network.n_bus)
+    row_lo, row_hi = model.row_lo.copy(), model.row_hi.copy()
+    row_lo[balance] = row_hi[balance] = _balance_bounds(network)
+    lp = replace(model, row_lo=row_lo, row_hi=row_hi)
+    # every row keeps its sense, so the model's linprog form fits
+    object.__setattr__(lp, "_linprog", model._linprog)
+    return lp
+
+
+def _balance_bounds(network: Network) -> np.ndarray:
+    """Both bounds of the bus balance rows, P and Q interleaved per bus:
+    the loads plus the first-order shunt terms at nominal voltage."""
+    g_sh, b_sh = network.y_shunt.real, network.y_shunt.imag
+    return np.column_stack([network.p_load + g_sh, network.q_load - b_sh]).ravel()
+
+
+def _build_model(network: Network, n_cos_tangents, n_circle_cuts, n_cost_segments,
+                 v_tiebreak) -> LinearProgram:
+    """build_lpac's LP for the network, its arrays made read-only."""
     lp = _Builder()
     nb, ne, ng = network.n_bus, network.n_branch, network.n_gen
     f, t = network.f_idx, network.t_idx
@@ -406,7 +454,7 @@ def build_lpac(
     bus = np.arange(nb)
     g_sh, b_sh = network.y_shunt.real, network.y_shunt.imag
     gen_bus = network.gen_bus
-    rhs = np.column_stack([network.p_load + g_sh, network.q_load - b_sh])
+    rhs = _balance_bounds(network)
     lp.rows(
         [(2 * gen_bus, pg_col, 1.0), (2 * f, pf_col, -1.0), (2 * t, pt_col, -1.0),
          (2 * bus, v_col, -2.0 * g_sh),
@@ -480,7 +528,11 @@ def build_lpac(
         [(own, cost_col[list(cut_gen)], 1.0), (own, pg_col[list(cut_gen)], -np.array(slopes))],
         intercepts, np.inf, list(names),
     )
-    return lp.program()
+    model = lp.program()
+    for array in (model.a_mat.data, model.a_mat.indices, model.a_mat.indptr, model.row_lo,
+                  model.row_hi, model.c_vec, model.lower, model.upper):
+        array.flags.writeable = False
+    return model
 
 
 def extract_solution(network: Network, lp: LinearProgram, x: np.ndarray) -> LpacSolution:

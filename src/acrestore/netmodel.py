@@ -4,6 +4,12 @@ The supported case format is a subset of the MATPOWER-style text layout
 (bus/gen/branch/gencost tables). All power quantities are converted to
 per-unit on the system MVA base at parse time. Networks are immutable
 after construction and safe to share between workers.
+
+A network's topology is everything but its loads. `Network.with_loads`
+copies a network for one load scenario without validating or deriving the
+topology again: the copy shares its parent's read-only topology arrays and
+one per-topology store, where `per_topology` keeps load-independent values
+(the canonical measurement layout, the LPAC model) for every copy to reuse.
 """
 
 from __future__ import annotations
@@ -145,8 +151,9 @@ class Network:
 
     Index-based arrays (loads, shunts, two-port admittances, the dense bus
     admittance matrix) are derived once in __post_init__ and reused by all
-    downstream evaluations. Bus ids are arbitrary integers; positions are
-    0-based and follow the case-file order.
+    downstream evaluations; all but the loads are read-only, since
+    `with_loads` copies share them. Bus ids are arbitrary integers;
+    positions are 0-based and follow the case-file order.
     """
 
     base_mva: float
@@ -169,6 +176,7 @@ class Network:
     p_load: np.ndarray = field(init=False, repr=False, compare=False)
     q_load: np.ndarray = field(init=False, repr=False, compare=False)
     gen_bus: np.ndarray = field(init=False, repr=False, compare=False)
+    _topology: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [b.id for b in self.buses]
@@ -220,19 +228,15 @@ class Network:
         )
         ybus[np.arange(nb), np.arange(nb)] += y_shunt
 
-        object.__setattr__(self, "f_idx", f_idx)
-        object.__setattr__(self, "t_idx", t_idx)
-        object.__setattr__(self, "y_ff", y_ff)
-        object.__setattr__(self, "y_ft", y_ft)
-        object.__setattr__(self, "y_tf", y_tf)
-        object.__setattr__(self, "y_tt", y_tt)
-        object.__setattr__(self, "y_shunt", y_shunt)
-        object.__setattr__(self, "ybus", ybus)
+        gen_bus = np.array([index[g.bus] for g in self.generators], dtype=int)
+        shared = dict(f_idx=f_idx, t_idx=t_idx, y_ff=y_ff, y_ft=y_ft, y_tf=y_tf, y_tt=y_tt,
+                      y_shunt=y_shunt, ybus=ybus, gen_bus=gen_bus)
+        for name, array in shared.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "p_load", np.array([b.p_load for b in self.buses]))
         object.__setattr__(self, "q_load", np.array([b.q_load for b in self.buses]))
-        object.__setattr__(
-            self, "gen_bus", np.array([index[g.bus] for g in self.generators], dtype=int)
-        )
+        object.__setattr__(self, "_topology", {})
 
         self._check_connected()
 
@@ -279,12 +283,42 @@ class Network:
         return np.unique(self.gen_bus)
 
     def with_loads(self, p_load: np.ndarray, q_load: np.ndarray) -> "Network":
-        """A copy of this network with replaced per-bus loads (per-unit)."""
+        """A copy of this network with replaced per-bus loads (per-unit).
+
+        The copy equals `Network(base_mva, buses, branches, generators,
+        name)` built from its buses, but shares this network's validated
+        topology: its derived arrays and its per-topology store. Raises
+        ValueError unless each load vector has one finite entry per bus.
+        """
+        loads = {}
+        for name, values in (("p_load", p_load), ("q_load", q_load)):
+            values = np.array(values, dtype=float)
+            if values.shape != (self.n_bus,):
+                raise ValueError(
+                    f"{name}: expected {self.n_bus} per-bus loads, got shape {values.shape}"
+                )
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
+            loads[name] = values
         buses = tuple(
-            replace(b, p_load=float(p), q_load=float(q))
-            for b, p, q in zip(self.buses, p_load, q_load)
+            replace(b, p_load=p, q_load=q)
+            for b, p, q in zip(self.buses, loads["p_load"].tolist(), loads["q_load"].tolist())
         )
-        return Network(self.base_mva, buses, self.branches, self.generators, self.name)
+        copy = object.__new__(Network)
+        # every field but the loads, and no cached case hash
+        state = {k: v for k, v in vars(self).items() if k != "case_hash"}
+        vars(copy).update(state, buses=buses, **loads)
+        return copy
+
+    def per_topology(self, key, build):
+        """The value stored under key for this network's topology, made by
+        build() on first use. Every `with_loads` copy shares the store, so
+        build() must depend on nothing but the topology."""
+        store = self._topology
+        if key not in store:
+            store.setdefault(key, build())
+        return store[key]
 
     @cached_property
     def case_hash(self) -> str:

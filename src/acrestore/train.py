@@ -80,19 +80,22 @@ class TrainConfig:
 @dataclass
 class TrainTrace:
     """Per-iteration loss, gradient max-norm, Gauss-Newton iterations summed
-    over the records used, and the number of records used."""
+    over the records used, the number of records used, and the records
+    skipped, as (record index, reason) pairs in record order."""
 
     loss: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     gn_iters: list = field(default_factory=list)
     records_used: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
 
     def record(self, loss_value: float, grad: np.ndarray, gn_iters: int = 0,
-               records_used: int = 0):
+               records_used: int = 0, skipped: list | None = None):
         self.loss.append(loss_value)
         self.grad_norm.append(float(np.max(np.abs(grad))) if grad.size else 0.0)
         self.gn_iters.append(gn_iters)
         self.records_used.append(records_used)
+        self.skipped.append([] if skipped is None else skipped)
 
 
 def check_layout(dataset: list[ScenarioRecord]) -> tuple:
@@ -154,22 +157,26 @@ def _gradient_pass(
     starts: list | None = None,
 ):
     """Gradient over the dataset, the restored state of each record (None
-    where it was skipped), and the Gauss-Newton iterations of the records
-    used. Record i starts from starts[i], or flat where that is None.
+    where it was skipped), the Gauss-Newton iterations of the records used,
+    and the (record index, reason) of each record skipped. Record i starts
+    from starts[i], or flat where that is None.
 
-    Failed records are skipped with a log entry; more than 10% failures
-    aborts. Contributions are reduced in record order so threaded and
-    sequential runs agree exactly.
+    A record whose solver fails (a RuntimeError: unobservable, not
+    converged) is skipped with a log entry; more than 10% failures aborts.
+    Any other exception propagates. Contributions are reduced in record
+    order so threaded and sequential runs agree exactly.
     """
     layout = compile_layout(network, check_layout(dataset))
     starts = starts if starts is not None else [None] * len(dataset)
     per_record: list = [None] * len(dataset)
+    reasons: list = [None] * len(dataset)  # why each skipped record was skipped
 
     def work(i):
         try:
             per_record[i] = _restore_and_weigh(network, dataset[i], weights, starts[i], layout)
-        except Exception as exc:  # noqa: BLE001 - any solver failure skips the record
+        except RuntimeError as exc:
             logger.warning("record %d skipped: %s", dataset[i].index, exc)
+            reasons[i] = str(exc)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -178,10 +185,10 @@ def _gradient_pass(
         for i in range(len(dataset)):
             work(i)
 
-    failures = sum(1 for item in per_record if item is None)
-    if failures > 0.10 * len(dataset):
+    skipped = [(rec.index, why) for rec, why in zip(dataset, reasons) if why is not None]
+    if len(skipped) > 0.10 * len(dataset):
         raise TrainingError(
-            f"{failures} of {len(dataset)} records failed restoration"
+            f"{len(skipped)} of {len(dataset)} records failed restoration"
         )
 
     grad = np.zeros(weights.size)
@@ -191,7 +198,7 @@ def _gradient_pass(
             grad += item[0]
             gn_iters += item[2]
     states = [None if item is None else item[1] for item in per_record]
-    return grad, states, gn_iters
+    return grad, states, gn_iters, skipped
 
 
 def accumulate_gradient(
@@ -202,8 +209,7 @@ def accumulate_gradient(
 ) -> np.ndarray:
     """Summed loss gradient with respect to the weights over the dataset,
     every record restored from a flat start."""
-    grad, _, _ = _gradient_pass(network, dataset, weights, threads=threads)
-    return grad
+    return _gradient_pass(network, dataset, weights, threads=threads)[0]
 
 
 def adam_step(
@@ -252,12 +258,12 @@ def train_weights(
     states = None  # last restored state of each record, None where skipped
 
     for t in range(1, config.max_iter + 1):
-        grad, states, gn_iters = _gradient_pass(
+        grad, states, gn_iters, skipped = _gradient_pass(
             network, train_set, w, threads=config.threads, starts=states
         )
         survivors = [rec for rec, state in zip(train_set, states) if state is not None]
         restored = [state for state in states if state is not None]
-        trace.record(loss(survivors, restored), grad, gn_iters, len(survivors))
+        trace.record(loss(survivors, restored), grad, gn_iters, len(survivors), skipped)
         w, m_t, v_t = adam_step(w, m_t, v_t, grad, t, config)
 
     return w, trace

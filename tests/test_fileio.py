@@ -190,7 +190,9 @@ def test_dataset_manifest_with_repeated_entry_rejected(case5, tmp_path):
     ("manifest.json", "test_indices", "append", r"manifest\.json: no record has index 99"),
     ("manifest.json", "records", "delete", r"manifest\.json: missing field 'records'"),
     ("records/s00001.json", "z", "delete", r"s00001\.json: missing field 'z'"),
-], ids=["train-index", "test-index", "manifest-key", "record-key"])
+    ("records/s00001.json", "p_load", "truncate", r"s00001\.json: p_load and q_load need 5 entries"),
+    ("records/s00000.json", "q_load", "truncate", r"s00000\.json: p_load and q_load need 5 entries"),
+], ids=["train-index", "test-index", "manifest-key", "record-key", "p-load-length", "q-load-length"])
 def test_malformed_dataset_is_a_format_error(case5, tmp_path, file, key, edit, message):
     loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=3))
     records = synth_dataset(case5, loads, seed=4)
@@ -200,6 +202,8 @@ def test_malformed_dataset_is_a_format_error(case5, tmp_path, file, key, edit, m
     payload = json.loads(path.read_text())
     if edit == "append":
         payload[key].append(99)
+    elif edit == "truncate":
+        payload[key] = payload[key][:-1]
     else:
         del payload[key]
     path.write_text(json.dumps(payload))

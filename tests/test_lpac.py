@@ -13,12 +13,14 @@ import scipy.optimize
 import scipy.sparse
 
 import acrestore
+from acrestore import Network
 from acrestore.acpf import compile_layout
 from acrestore.lpac import (
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
     UnboundedError,
+    _build_model,
     build_lpac,
     cosine_cuts,
     extract_solution,
@@ -29,6 +31,7 @@ from acrestore.lpac import (
     write_lp_text,
 )
 from acrestore.scenarios import ScenarioSpec, gen_load_scenarios
+from conftest import FIXTURE_NAMES
 
 # Optimal objectives of build_lpac(case5) and build_lpac(case14), recorded
 # from the dense two-phase tableau simplex the package used before HiGHS.
@@ -565,3 +568,57 @@ def test_lp_text_export_roundtrips_through_reference(case5):
     ref = linprog_reference(lp)
     mine = simplex_solve(lp)
     assert mine.objective == pytest.approx(ref.fun, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the model kept once per topology
+# ---------------------------------------------------------------------------
+
+# (n_cos_tangents, n_circle_cuts, n_cost_segments, v_tiebreak)
+MODEL_SETTINGS = [(9, 8, 6, 1.0), (5, 4, 3, 1.0), (9, 8, 6, 0.0)]
+
+
+def lp_arrays(lp):
+    return (lp.a_mat.data, lp.a_mat.indices, lp.a_mat.indptr, lp.row_lo, lp.row_hi,
+            lp.c_vec, lp.lower, lp.upper)
+
+
+def scenario_networks(network, count=2):
+    """Scenario copies of the network, one a copy of a copy."""
+    loads = gen_load_scenarios(network, ScenarioSpec(count=count, seed=5))
+    copies = [network.with_loads(*pair) for pair in loads]
+    return copies + [copies[0].with_loads(*loads[-1])]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_stored_model_equals_a_fresh_build(all_fixtures, name):
+    for settings in MODEL_SETTINGS:
+        for scen in scenario_networks(all_fixtures[name]):
+            mine, fresh = build_lpac(scen, *settings), _build_model(scen, *settings)
+            for a, b in zip(lp_arrays(mine), lp_arrays(fresh)):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert (mine.var_names, mine.row_names) == (fresh.var_names, fresh.row_names)
+            assert mine.a_mat.shape == fresh.a_mat.shape
+
+
+@pytest.mark.parametrize("name", ["case5", "case14"])
+def test_stored_model_solves_like_a_fresh_build(all_fixtures, name):
+    for scen in scenario_networks(all_fixtures[name], count=4):
+        mine = simplex_solve(build_lpac(scen))
+        fresh = simplex_solve(_build_model(scen, *MODEL_SETTINGS[0]))
+        assert np.array_equal(mine.x, fresh.x)
+        assert np.array_equal(mine.duals, fresh.duals)
+        assert mine.iterations == fresh.iterations
+
+
+def test_scenario_lps_share_the_read_only_model(case14):
+    scen = scenario_networks(case14)
+    first, second = build_lpac(scen[0]), build_lpac(scen[1])
+    for mine, theirs in zip(lp_arrays(first)[:3] + lp_arrays(first)[5:],
+                            lp_arrays(second)[:3] + lp_arrays(second)[5:]):
+        assert mine is theirs
+        with pytest.raises(ValueError, match="read-only"):
+            mine[0] = 1
+    assert not np.shares_memory(first.row_lo, second.row_lo)
+    assert first.row_lo.flags.writeable and first.row_hi.flags.writeable
+    assert build_lpac(scen[0], v_tiebreak=0).a_mat is not first.a_mat

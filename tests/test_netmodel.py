@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from acrestore import Branch, branch_two_port, parse_case, serialize_case
+from acrestore import Branch, Network, branch_two_port, canonical_kinds, parse_case, serialize_case
 from acrestore.netmodel import (
     CaseSemanticError,
     CaseSyntaxError,
@@ -187,6 +188,62 @@ def test_with_loads_returns_new_network(case5):
     assert scaled.p_load[1] == pytest.approx(case5.p_load[1] * 1.1)
     assert case5.p_load[1] == pytest.approx(3.0)
     assert scaled.branches == case5.branches
+
+
+def rebuilt(network):
+    """The network built anew from its parts, validated and derived again."""
+    return Network(network.base_mva, network.buses, network.branches, network.generators,
+                   network.name)
+
+
+def test_with_loads_copy_equals_a_rebuilt_network(case14):
+    rng = np.random.default_rng(5)
+    case14.case_hash  # cached on the parent; the copies must not inherit it
+    once = case14.with_loads(case14.p_load * rng.uniform(0.5, 1.5, 14), case14.q_load)
+    twice = once.with_loads(once.p_load, once.q_load * rng.uniform(0.5, 1.5, 14))
+    for copy in (once, twice):
+        fresh = rebuilt(copy)
+        assert copy == fresh
+        for f in dataclasses.fields(Network):
+            if f.name == "_topology":
+                continue
+            mine, theirs = getattr(copy, f.name), getattr(fresh, f.name)
+            if isinstance(mine, np.ndarray):
+                assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype, f.name
+            else:
+                assert mine == theirs, f.name
+        assert copy.case_hash == fresh.case_hash != case14.case_hash
+
+
+def test_with_loads_shares_the_read_only_topology(case5):
+    copy = case5.with_loads(case5.p_load * 1.1, case5.q_load).with_loads(case5.p_load, case5.q_load)
+    for name in ("f_idx", "t_idx", "y_ff", "y_ft", "y_tf", "y_tt", "y_shunt", "ybus", "gen_bus"):
+        assert getattr(copy, name) is getattr(case5, name)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(copy, name)[0] = 0
+    assert canonical_kinds(copy) is canonical_kinds(case5)
+    assert canonical_kinds(rebuilt(copy)) is not canonical_kinds(case5)
+    assert copy.p_load is not case5.p_load
+
+
+@pytest.mark.parametrize(
+    "p_size,q_size,message",
+    [(15, 14, r"p_load: expected 14 per-bus loads, got shape \(15,\)"),
+     (14, 13, r"q_load: expected 14 per-bus loads, got shape \(13,\)")],
+)
+def test_with_loads_rejects_wrong_lengths(case14, p_size, q_size, message):
+    with pytest.raises(ValueError, match=message):
+        case14.with_loads(np.ones(p_size), np.ones(q_size))
+
+
+def test_with_loads_rejects_non_finite_loads(case14):
+    p_load, q_load = case14.p_load.copy(), case14.q_load.copy()
+    p_load[3] = np.nan
+    with pytest.raises(ValueError, match=r"p_load\[3\] = nan is not finite"):
+        case14.with_loads(p_load, q_load)
+    q_load[[6, 9]] = np.inf
+    with pytest.raises(ValueError, match=r"q_load\[6\] = inf is not finite"):
+        case14.with_loads(case14.p_load, q_load)
 
 
 def test_bundled_case_names():

@@ -185,6 +185,29 @@ def test_solver_error_skips_record(case5, caplog, monkeypatch, threads, fault, m
     assert message in caplog.text
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_programming_error_in_a_record_propagates(case5, monkeypatch, threads):
+    rng = np.random.default_rng(12)
+    records = [make_record(case5, rng, noise_std=1e-3, index=i) for i in range(10)]
+    w = default_initial_weights(records[0].z.kinds)
+
+    def mistyped(network, z, weights):
+        raise TypeError("unsupported operand (injected)")
+
+    monkeypatch.setattr(train, "wls_restore", fail_record_3(records, mistyped))
+    with pytest.raises(TypeError, match="injected"):
+        accumulate_gradient(case5, records, w, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_wrong_length_weights_raise(case5, threads):
+    rng = np.random.default_rng(12)
+    records = [make_record(case5, rng, noise_std=1e-3, index=i) for i in range(10)]
+    w = default_initial_weights(records[0].z.kinds)[:-1]
+    with pytest.raises(ValueError, match="weights for"):
+        accumulate_gradient(case5, records, w, threads=threads)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -395,6 +418,7 @@ def test_skipped_record_restarts_flat(case5, monkeypatch):
         for i in set(starts) - {3}:
             assert all(a is b for a, b in zip(starts[i][1:], restored[i]))
         assert trace.records_used == [10, 9, 10, 10]
+        assert trace.skipped == [[], [(3, "restoration did not converge (injected)")], [], []]
     (w1, trace1), (w4, trace4) = runs
     assert np.array_equal(w1, w4)
     assert trace1 == trace4
