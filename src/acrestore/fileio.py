@@ -28,6 +28,7 @@ from .acpf import (
 )
 from .netmodel import Network
 from .train import ScenarioRecord
+from .wls import check_weights
 
 SOLUTION_SCHEMA = "acrestore-solution/1"
 WEIGHTS_SCHEMA = "acrestore-weights/1"
@@ -55,7 +56,8 @@ def atomic_write_text(path, text: str):
 
 
 def write_json(path, payload: dict):
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    # compact: indentation forces json's pure-Python encoder
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_json(path, expected_schema: str) -> dict:
@@ -292,9 +294,11 @@ def read_weights(path, network: Network):
     payload = read_json(path, WEIGHTS_SCHEMA)
     check_network_hash(payload, network, path)
     kinds = layout_from_json(network, require(payload, "layout", path))
-    values = np.asarray(require(payload, "values", path), dtype=float)
-    if values.size != len(kinds):
-        raise FormatError(f"{path}: {values.size} weights for {len(kinds)} kinds")
+    values = require(payload, "values", path)
+    try:
+        values = check_weights(values, len(kinds))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return kinds, values
 
 

@@ -8,8 +8,9 @@ is one `np.bincount` over the entries' columns, and `normal_matrix` sums
 w h_a h_b for every pair of entries in one row into the upper triangle of
 N = H' W H, so the work follows the Jacobian's nonzeros, not m x n x n.
 `solve_normal` is the package's one normal-equation routine, shared with
-the weight sensitivity: it Jacobi-scales N, lets a numpy Cholesky
-factorization decide observability, and solves each right-hand side with
+the weight sensitivity: it Jacobi-scales N, certifies observability from
+the direct vm and va rows where it can and lets a numpy Cholesky
+factorization decide otherwise, and solves each right-hand side with
 numpy only.
 
 Each restoration validates and compiles its measurement layout once, or
@@ -42,6 +43,11 @@ W_FLOOR = 1e-8
 _DAMP_RATIO = 10.0
 _MAX_HALVINGS = 5
 
+# a bound on the scaled normal matrix's smallest eigenvalue above this
+# certifies observability without a factorization; it sits four orders of
+# magnitude above the 1e-12 pivot test, so rounding cannot flip the verdict
+_CERTIFIED = 1e-8
+
 
 class UnobservableError(RuntimeError):
     """The weighted normal matrix is singular for this measurement layout."""
@@ -58,6 +64,7 @@ class WlsResult:
     objective: float
     iterations: int
     converged: bool
+    halvings: int  # steps halved over the run, by damping or to keep vm > 0
     objective_trace: tuple = ()
     state_trace: tuple = ()
 
@@ -66,8 +73,10 @@ def check_weights(weights: np.ndarray, m: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.size != m:
         raise ValueError(f"{weights.size} weights for {m} measurements")
-    if np.any(weights < W_FLOOR):
-        raise ValueError(f"weights must be >= {W_FLOOR}")
+    bad = ~(np.isfinite(weights) & (weights >= W_FLOOR))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"weight {i} is {weights[i]}, want a finite value >= {W_FLOOR}")
     return weights
 
 
@@ -100,11 +109,14 @@ def solve_normal(values: np.ndarray, weights: np.ndarray, rhs: np.ndarray,
     H is the Jacobian of the compiled `layout` for the network, given by its
     values at the layout's pattern (`acpf.jacobian_values`), and the normal
     matrix is formed over that pattern (`normal_matrix`). It is
-    Jacobi-scaled to unit diagonal, and its Cholesky factorization decides
-    observability. A failed factorization always raises
-    UnobservableError, naming the unobservable direction; so does a
-    smallest pivot squared at or below 1e-12, an upper bound on the
-    smallest eigenvalue.
+    Jacobi-scaled to unit diagonal. Each direct vm or va row adds its weight
+    to one diagonal entry and nothing else, so the direct weight on column j
+    over N_jj bounds the scaled matrix's smallest eigenvalue from below
+    (Weyl's inequality); a bound above 1e-8 at every column certifies
+    observability without factoring. Otherwise its Cholesky factorization
+    decides: a failed factorization always raises UnobservableError, naming
+    the unobservable direction; so does a smallest pivot squared at or
+    below 1e-12, an upper bound on the smallest eigenvalue.
     """
     normal = normal_matrix(values, weights, layout)
     diag = np.diag(normal).copy()
@@ -115,11 +127,20 @@ def solve_normal(values: np.ndarray, weights: np.ndarray, rhs: np.ndarray,
             f"no measurement weight acts on state entry {network.state_labels()[j]}"
         )
     scale = 1.0 / np.sqrt(diag)
-    scaled = normal * scale[:, None] * scale[None, :]
-    try:
-        observable = np.diag(np.linalg.cholesky(scaled)).min() ** 2 > 1e-12
-    except np.linalg.LinAlgError:
-        observable = False
+    scaled = normal
+    scaled *= scale[:, None]
+    scaled *= scale[None, :]
+    # the direct entries (value 1, pool position 0) bound the smallest eigenvalue
+    pattern = layout.pattern
+    direct = pattern.source == 0
+    bound = np.bincount(pattern.cols[direct], weights[pattern.rows[direct]],
+                        minlength=diag.size) / diag
+    observable = bound.min() > _CERTIFIED
+    if not observable:
+        try:
+            observable = np.diag(np.linalg.cholesky(scaled)).min() ** 2 > 1e-12
+        except np.linalg.LinAlgError:
+            pass
     if not observable:
         null = np.linalg.eigh(scaled)[1][:, 0]
         labels = network.state_labels()
@@ -173,7 +194,7 @@ def wls_restore(
     obj_trace = [objective]
     state_trace = [state] if keep_iterates else []
     converged = False
-    iterations = 0
+    iterations = halvings = 0
 
     for iterations in range(1, max_iter + 1):
         values = jacobian_values(network, state, layout)
@@ -187,6 +208,7 @@ def wls_restore(
                 trial = StateVector.from_vector(x_vec + step, state.slack)
             except ValueError:  # step left the positive-magnitude region
                 step = step / 2.0
+                halvings += 1
                 continue
             cand_residual = z.values - eval_h(network, trial, layout)
             cand_objective = float(cand_residual @ (weights * cand_residual))
@@ -194,6 +216,7 @@ def wls_restore(
             if cand_objective <= _DAMP_RATIO * objective:
                 break
             step = step / 2.0
+            halvings += 1
         if candidate is None:
             break
 
@@ -211,6 +234,7 @@ def wls_restore(
         objective=objective * w_scale,
         iterations=iterations,
         converged=converged,
+        halvings=halvings,
         objective_trace=tuple(value * w_scale for value in obj_trace),
         state_trace=tuple(state_trace),
     )

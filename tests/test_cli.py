@@ -219,6 +219,24 @@ def test_train_zero_iters_emits_initial_weights(case_path, tmp_path):
     assert values == pytest.approx(expected)
 
 
+def test_eval_rejects_non_finite_or_floored_weights(case_path, tmp_path, capsys):
+    data = tmp_path / "ds"
+    run("scenarios", "--case", case_path, "--count", "6", "--seed", "7",
+        "--source", "synthetic", "--out", str(data))
+    weights = tmp_path / "w.json"
+    run("train", "--case", case_path, "--data", str(data), "--iters", "0",
+        "--out", str(weights))
+    payload = json.loads(weights.read_text())
+    for bad in (float("nan"), float("inf"), 1e-9):
+        payload["values"][1] = bad
+        weights.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("eval", "--case", case_path, "--data", str(data),
+                   "--weights", str(weights), "--out", str(tmp_path / "rep")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR file-format:") and "weight 1 is" in err, err
+
+
 def test_restore_batch_directory(case_path, tmp_path):
     sol_dir = tmp_path / "sols"
     sol_dir.mkdir()

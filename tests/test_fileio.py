@@ -157,6 +157,15 @@ def test_weights_without_layout_is_a_format_error(case5, tmp_path):
         read_weights(path, case5)
 
 
+def test_json_is_written_compact_with_sorted_keys(case5, tmp_path):
+    kinds = canonical_kinds(case5)
+    path = tmp_path / "weights.json"
+    write_weights(path, case5, kinds, default_initial_weights(kinds))
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert list(json.loads(text)) == sorted(json.loads(text))
+
+
 def test_dataset_roundtrip(case5, tmp_path):
     loads = gen_load_scenarios(case5, ScenarioSpec(count=5, sigma=0.05, seed=3))
     records = synth_dataset(case5, loads, seed=4)

@@ -14,6 +14,7 @@ from acrestore import (
     wls_restore,
 )
 from acrestore import acpf, sens, wls
+from acrestore.train import default_initial_weights
 from acrestore.wls import UnobservableError
 from conftest import perturbed_state
 
@@ -348,3 +349,131 @@ def test_given_layout_must_belong_to_z_and_network(case5, case14, solver):
         run(acpf.compile_layout(case5, kinds[:-1]))
     with pytest.raises(acpf.MeasurementError, match="layout for 14 buses"):
         run(acpf.compile_layout(case14, canonical_kinds(case14)))
+
+
+# ---------------------------------------------------------------------------
+# the observability certificate from the direct vm and va rows
+# ---------------------------------------------------------------------------
+
+
+def direct_weight_bound(network, kinds, weights, normal):
+    """min_j (direct vm or va weight on state column j) / N_jj, from the kinds."""
+    direct = np.zeros(network.n_state)
+    for kind, weight in zip(kinds, weights):
+        if kind.kind == "vm":
+            direct[kind.index] += weight
+        elif kind.kind == "va" and kind.index != network.slack:
+            direct[network.n_bus + kind.index - (kind.index > network.slack)] += weight
+    return (direct / np.diag(normal)).min()
+
+
+@pytest.mark.parametrize("name", ["case14", "case57", "case118"])
+def test_certificate_leaves_results_bit_identical(name, request, monkeypatch):
+    network = request.getfixturevalue(name)
+    problems = [noisy_restore_problem(network, seed) for seed in (51, 52)]
+    rng = np.random.default_rng(53)
+    d = rng.standard_normal((network.n_state, 2))
+
+    def run():
+        out = []
+        for z, weights in problems:
+            result = wls_restore(network, z, weights)
+            out.append((result.state.as_vector(), np.array(result.objective_trace),
+                        solution_sensitivity(network, z, weights, result.state, d)))
+        return out
+
+    certified = run()
+    monkeypatch.setattr(wls, "_CERTIFIED", np.inf)  # every verdict from the Cholesky
+    for got, want in zip(run(), certified):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])
+def test_bound_is_below_every_pivot_squared(name, request):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(57)
+    kinds = canonical_kinds(network)
+    layout = acpf.compile_layout(network, kinds)
+    certified = 0
+    for state in (StateVector.flat(network), perturbed_state(network, rng)):
+        values = acpf.jacobian_values(network, state, layout)
+        for spread in np.linspace(0, 8, 10):
+            # weights spread over up to eight decades: the narrow spreads
+            # certify, the wide ones leave the verdict to the Cholesky
+            weights = 10.0 ** rng.uniform(-spread, 0, layout.m)
+            normal = wls.normal_matrix(values, weights, layout)
+            bound = direct_weight_bound(network, kinds, weights, normal)
+            scale = 1.0 / np.sqrt(np.diag(normal))
+            scaled = normal * scale[:, None] * scale[None, :]
+            smallest = np.linalg.eigvalsh(scaled)[0]
+            pivot_sq = np.diag(np.linalg.cholesky(scaled)).min() ** 2
+            # eigvalsh and the pivots are exact to about n * eps of the unit diagonal
+            assert bound <= smallest + 1e-13
+            assert smallest <= pivot_sq + 1e-13
+            certified += bound > wls._CERTIFIED
+    # both sides of the certificate are exercised
+    assert 0 < certified < 20
+
+
+def test_cholesky_runs_only_without_a_certificate(case14, monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    rng = np.random.default_rng(59)
+    kinds = canonical_kinds(case14)
+    truth = perturbed_state(case14, rng)
+
+    def solve(kinds, weights):
+        z = MeasurementSet(kinds, eval_h(case14, truth, kinds))
+        result = wls_restore(case14, z, weights)
+        solution_sensitivity(case14, z, weights, result.state, np.ones(case14.n_state))
+        assert np.max(np.abs(result.state.as_vector() - truth.as_vector())) < 1e-8
+        count = len(calls)
+        calls.clear()
+        return count, result.iterations
+
+    assert solve(kinds, default_initial_weights(kinds))[0] == 0
+    # without bus 3's vm row its column has no direct weight: every solve factors
+    without = tuple(k for k in kinds if k != MeasurementKind("vm", 3))
+    count, iterations = solve(without, default_initial_weights(without))
+    assert count == iterations + 1
+    weights = default_initial_weights(kinds)
+    weights[kinds.index(MeasurementKind("vm", 3))] = wls.W_FLOOR
+    count, iterations = solve(kinds, weights)
+    assert count == iterations + 1
+
+
+def test_halvings_are_counted(case5):
+    rng = np.random.default_rng(4)
+    kinds = canonical_kinds(case5)
+    truth = perturbed_state(case5, rng)
+    z = MeasurementSet(kinds, eval_h(case5, truth, kinds))
+    weights = np.ones(z.m)
+    assert wls_restore(case5, z, weights).halvings == 0
+    # a flat magnitude with angles up to a radian overshoots and is damped
+    va = rng.uniform(-1.0, 1.0, case5.n_bus)
+    va[case5.slack] = 0.0
+    result = wls_restore(case5, z, weights, x0=StateVector(np.ones(case5.n_bus), va, case5.slack))
+    assert result.converged and result.halvings > 0
+    assert np.max(np.abs(result.state.as_vector() - truth.as_vector())) < 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", ["wls_restore", "solution_sensitivity"])
+def test_first_non_finite_weight_is_named(case5, solver, bad):
+    kinds = canonical_kinds(case5)
+    state = StateVector.flat(case5)
+    z = MeasurementSet(kinds, eval_h(case5, state, kinds))
+    weights = np.ones(z.m)
+    weights[[3, 7]] = bad
+    with pytest.raises(ValueError, match=f"weight 3 is {bad}, want a finite value"):
+        if solver == "wls_restore":
+            wls_restore(case5, z, weights)
+        else:
+            solution_sensitivity(case5, z, weights, state)
