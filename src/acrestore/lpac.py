@@ -20,8 +20,9 @@ Only the bus balance rows' bounds depend on the loads. build_lpac
 assembles everything else once per topology, in the network's
 per-topology store shared by its `with_loads` copies, and each call copies
 the row bounds and writes the loads into them. The LPs it returns share
-the read-only matrix, costs and column bounds, and `linprog`'s row split,
-which `simplex_solve` computes on the first solve of the model.
+the read-only matrix, costs and column bounds, and the matrix HiGHS gets,
+its rows in `linprog`'s order and signs, which `simplex_solve` stacks on
+the first solve of the model.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class LinearProgram:
     upper: np.ndarray
     var_names: tuple[str, ...]
     row_names: tuple[str, ...]
-    # the form linprog takes, made on the first solve (see _linprog_form)
-    _linprog: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the rows as HiGHS takes them, made on the first solve (see _highs_form)
+    _highs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_row, n_var = self.a_mat.shape
@@ -156,24 +157,34 @@ class SimplexResult:
     std: LinearProgram  # the LP as solved
 
 
-_STATUS_ERRORS = {1: IterationLimitError, 2: InfeasibleError, 3: UnboundedError}
+_STATUS_ERRORS = {"kIterationLimit": IterationLimitError, "kInfeasible": InfeasibleError,
+                  "kUnbounded": UnboundedError}
+# linprog(method="highs-ds")'s options; simplex strategy 1 is the dual simplex
+_HIGHS_OPTIONS = {"presolve": "on", "solver": "simplex", "simplex_strategy": 1,
+                  "highs_debug_level": 0, "output_flag": False, "log_to_console": False}
 
 
-def _linprog_form(lp: LinearProgram) -> tuple:
-    """The LP as linprog takes it, made on its first solve: the equality
-    rows and the others, the others' signs and A_ub (linprog takes
-    A_ub x <= b_ub, so >= rows enter negated), A_eq, and the column bounds
-    as one array. The LPs build_lpac derives from one model share it:
-    their bounds differ only in the values of equality rows."""
-    if "form" not in lp._linprog:
+def _highs_form(lp: LinearProgram) -> tuple:
+    """The rows as linprog(method="highs-ds") hands them to HiGHS, made on
+    the first solve of the model and shared by the LPs build_lpac derives
+    from it: the row order (inequalities, then equalities), the signs in
+    that order (-1 on rows with a finite lower side, which enter negated)
+    and the signed rows in that order as one column-wise HiGHS matrix."""
+    if "form" not in lp._highs:
         import scipy.sparse as sp
+        from scipy.optimize._highspy import _core as highs
 
         eq = lp.row_lo == lp.row_hi
-        ineq = ~eq
-        sign = np.where(np.isfinite(lp.row_lo), -1.0, 1.0)[ineq]
-        lp._linprog.setdefault("form", (eq, ineq, sign, sp.diags(sign) @ lp.a_mat[ineq],
-                                        lp.a_mat[eq], np.column_stack([lp.lower, lp.upper])))
-    return lp._linprog["form"]
+        order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+        sign = np.where(~eq & np.isfinite(lp.row_lo), -1.0, 1.0)[order]
+        csc = sp.csc_array(sp.diags(sign) @ lp.a_mat[order])
+        matrix = highs.HighsSparseMatrix()
+        matrix.format_, (matrix.num_row_, matrix.num_col_) = highs.MatrixFormat.kColwise, csc.shape
+        # pybind converts a list to a C++ vector faster than a numpy array
+        matrix.start_, matrix.index_, matrix.value_ = (
+            a.tolist() for a in (csc.indptr, csc.indices, csc.data))
+        lp._highs.setdefault("form", (order, sign, matrix))
+    return lp._highs["form"]
 
 
 def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
@@ -181,31 +192,43 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
 
     Returns an optimal basic solution with its row duals. Raises
     InfeasibleError, UnboundedError, IterationLimitError, or SimplexError
-    for any other solver outcome.
+    for any other solver outcome, each naming HiGHS's model status.
+
+    scipy's private HiGHS binding gets linprog's row order, signs and
+    options (a negated row keeps both sides), so x, the duals and the
+    iterations are linprog's to the bit; the parity test in
+    tests/test_lpac.py catches a scipy release that breaks that. A fresh
+    solver runs each solve, so no result depends on earlier solves.
     """
     # scipy.sparse and scipy.optimize are imported on first use: at module
     # level they cost every process that never builds or solves an LP ~0.3 s
     # and ~20 MB
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
-    eq, ineq, sign, a_ub, a_eq, bounds = _linprog_form(lp)
-    b_ub = sign * np.where(sign < 0, lp.row_lo[ineq], lp.row_hi[ineq])
-    res = linprog(
-        lp.c_vec,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=lp.row_hi[eq],
-        bounds=bounds,
-        method="highs-ds",
-        options={} if max_iter is None else {"maxiter": max_iter},
-    )
-    if res.status != 0:
-        raise _STATUS_ERRORS.get(res.status, SimplexError)(res.message)
+    order, sign, matrix = _highs_form(lp)
+    lo, hi = lp.row_lo[order], lp.row_hi[order]
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_, model.a_matrix_ = lp.n_var, lp.n_row, matrix
+    model.col_cost_, model.col_lower_, model.col_upper_ = (
+        v.tolist() for v in (lp.c_vec, lp.lower, lp.upper))
+    model.row_lower_, model.row_upper_ = np.where(sign < 0, [-hi, -lo], [lo, hi]).tolist()
+    solver = highs._Highs()
+    limit = {} if max_iter is None else {"simplex_iteration_limit": max_iter}
+    for name, value in {**_HIGHS_OPTIONS, **limit}.items():
+        solver.setOptionValue(name, value)
+    status = highs.HighsModelStatus.kModelError
+    if solver.passModel(model) != highs.HighsStatus.kError:
+        solver.run()
+        status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise _STATUS_ERRORS.get(status.name, SimplexError)(
+            f"HiGHS model status: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
     duals = np.empty(lp.n_row)
-    duals[ineq] = sign * res.ineqlin.marginals
-    duals[eq] = res.eqlin.marginals
-    return SimplexResult(res.x, float(lp.c_vec @ res.x), duals, int(res.nit), lp)
+    duals[order] = sign * np.array(solution.row_dual)
+    x = np.array(solution.col_value)
+    iterations = solver.getInfo().simplex_iteration_count
+    return SimplexResult(x, float(lp.c_vec @ x), duals, iterations, lp)
 
 
 def _sign_margin(mult: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -248,14 +271,15 @@ def verify_certificates(result: SimplexResult, tol: float = _FEAS_TOL) -> dict:
     """
     lp, x, y = result.std, result.x, result.duals
     ax = lp.a_mat @ x
-    scale = abs(lp.a_mat).max(axis=1).toarray().ravel()
+    abs_a = abs(lp.a_mat)
+    scale = abs_a.max(axis=1).toarray().ravel()
     scale[scale == 0.0] = 1.0
     row_excess = np.maximum(lp.row_lo - ax, ax - lp.row_hi) / scale
     primal_residual = float(np.max(row_excess, initial=0.0))
     bound_excess = np.maximum(lp.lower - x, x - lp.upper)
     bound_violation = float(np.max(bound_excess, initial=0.0))
     reduced = lp.c_vec - lp.a_mat.T @ y
-    cancelled = np.maximum(1.0, abs(lp.c_vec) + abs(lp.a_mat).T @ abs(y))
+    cancelled = np.maximum(1.0, abs(lp.c_vec) + abs_a.T @ abs(y))
     min_row_dual = _sign_margin(y, lp.row_lo, lp.row_hi)
     min_reduced = _sign_margin(reduced / cancelled, lp.lower, lp.upper)
     primal = float(lp.c_vec @ x)
@@ -394,8 +418,8 @@ def build_lpac(
     row_lo, row_hi = model.row_lo.copy(), model.row_hi.copy()
     row_lo[balance] = row_hi[balance] = _balance_bounds(network)
     lp = replace(model, row_lo=row_lo, row_hi=row_hi)
-    # every row keeps its sense, so the model's linprog form fits
-    object.__setattr__(lp, "_linprog", model._linprog)
+    # every row keeps its sense, so the model's HiGHS row form fits
+    object.__setattr__(lp, "_highs", model._highs)
     return lp
 
 

@@ -218,8 +218,9 @@ def build_lpac_dataset(
 
     Ground truth defaults to the benchmark-restored operating point of each
     approximation; externally supplied states (one per scenario, None for
-    missing) override it. Scenarios whose approximation or power flow fails
-    are skipped with a log entry.
+    missing) override it. Scenarios whose approximation fails to solve or
+    to certify (lpac.verify_certificates), or whose power flow fails, are
+    skipped with a log entry.
     """
     from .lpac import SimplexError, lpac_to_measurements, solve_lpac
 
@@ -227,7 +228,7 @@ def build_lpac_dataset(
     for s, (p_load, q_load) in enumerate(loads):
         scen_net = network.with_loads(p_load, q_load)
         try:
-            sol = solve_lpac(scen_net)
+            sol = solve_lpac(scen_net, check=True)
         except SimplexError as exc:
             logger.warning("scenario %d skipped (approximation): %s", s, exc)
             continue

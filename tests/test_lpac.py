@@ -13,12 +13,13 @@ import scipy.optimize
 import scipy.sparse
 
 import acrestore
-from acrestore import Network
+from acrestore import Network, load_bundled_case
 from acrestore.acpf import compile_layout
 from acrestore.lpac import (
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
+    SimplexError,
     UnboundedError,
     _build_model,
     build_lpac,
@@ -231,6 +232,38 @@ def test_iteration_limit_raises():
                   [({j: 1.0, (j + 1) % 4: 0.5}, LE, 2.0) for j in range(4)])
     with pytest.raises(IterationLimitError):
         simplex_solve(lp, max_iter=1)
+
+
+@pytest.mark.parametrize("error,status", [
+    (InfeasibleError, "Infeasible"),
+    (UnboundedError, "Unbounded"),
+    (IterationLimitError, "Iteration limit reached"),
+    (SimplexError, "Model error"),
+])
+def test_simplex_errors_name_the_highs_status(error, status):
+    lps = {
+        InfeasibleError: array_lp([(-math.inf, math.inf, 1.0)],
+                                  [({0: 1.0}, LE, 0.0), ({0: 1.0}, GE, 1.0)]),
+        UnboundedError: array_lp([(0.0, math.inf, -1.0)], [({0: 1.0}, GE, 0.0)]),
+        IterationLimitError: array_lp([(0.0, math.inf, -1.0)] * 4,
+                                      [({j: 1.0, (j + 1) % 4: 0.5}, LE, 2.0) for j in range(4)]),
+        # HiGHS refuses a column whose lower bound is +inf
+        SimplexError: array_lp([(math.inf, math.inf, 1.0)], [({0: 1.0}, GE, 1.0)]),
+    }
+    with pytest.raises(SimplexError, match=f"HiGHS model status: {status}$") as info:
+        simplex_solve(lps[error], max_iter=1 if error is IterationLimitError else None)
+    assert type(info.value) is error
+
+
+def test_simplex_keeps_both_sides_of_a_ranged_row():
+    # min -x  s.t.  1 <= x <= 2 as one row, x free: the row enters negated
+    # and its upper side must stay
+    lp = dataclasses.replace(array_lp([(-math.inf, math.inf, -1.0)], [({0: 1.0}, GE, 1.0)]),
+                             row_hi=np.array([2.0]))
+    result = simplex_solve(lp)
+    assert result.x == pytest.approx([2.0])
+    assert result.duals == pytest.approx([-1.0])
+    assert verify_certificates(result)["ok"]
 
 
 def tight_lp():
@@ -622,3 +655,79 @@ def test_scenario_lps_share_the_read_only_model(case14):
     assert not np.shares_memory(first.row_lo, second.row_lo)
     assert first.row_lo.flags.writeable and first.row_hi.flags.writeable
     assert build_lpac(scen[0], v_tiebreak=0).a_mat is not first.a_mat
+
+
+# ---------------------------------------------------------------------------
+# parity with linprog, which simplex_solve bypasses
+# ---------------------------------------------------------------------------
+
+
+def linprog_highs_ds(lp: LinearProgram):
+    """x, row duals, objective and iteration count of linprog's HiGHS dual
+    simplex, fed the signed A_ub/A_eq split: >= rows negated into A_ub."""
+    eq = lp.row_lo == lp.row_hi
+    sign = np.where(np.isfinite(lp.row_lo), -1.0, 1.0)[~eq]
+    res = scipy.optimize.linprog(
+        lp.c_vec,
+        A_ub=scipy.sparse.diags(sign) @ lp.a_mat[~eq],
+        b_ub=sign * np.where(sign < 0, lp.row_lo[~eq], lp.row_hi[~eq]),
+        A_eq=lp.a_mat[eq],
+        b_eq=lp.row_hi[eq],
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs-ds",
+    )
+    assert res.status == 0, res.message
+    duals = np.empty(lp.n_row)
+    duals[~eq] = sign * res.ineqlin.marginals
+    duals[eq] = res.eqlin.marginals
+    return res.x, duals, float(lp.c_vec @ res.x), res.nit
+
+
+@pytest.mark.parametrize("name,count", [("case5", 6), ("case14", 6), ("case57", 1),
+                                        ("case118", 1)])
+@pytest.mark.parametrize("v_tiebreak", [1.0, 0.0])
+def test_simplex_matches_linprog_to_the_bit(all_fixtures, name, count, v_tiebreak):
+    network = all_fixtures[name]
+    for loads in gen_load_scenarios(network, ScenarioSpec(count=count, seed=0)):
+        lp = build_lpac(network.with_loads(*loads), v_tiebreak=v_tiebreak)
+        mine = simplex_solve(lp)
+        x, duals, objective, iterations = linprog_highs_ds(lp)
+        assert np.array_equal(mine.x, x)
+        assert np.array_equal(mine.duals, duals)
+        assert np.array_equal(mine.objective, objective)
+        assert mine.iterations == iterations
+
+
+def test_scenario_solve_does_not_depend_on_earlier_solves(case14):
+    loads = gen_load_scenarios(case14, ScenarioSpec(count=6, seed=0))
+    k = 3
+    # a freshly loaded case shares no per-topology store with the fixture
+    alone = simplex_solve(build_lpac(load_bundled_case("case14").with_loads(*loads[k])))
+    for other in loads[:k] + loads[k + 1:]:
+        simplex_solve(build_lpac(case14.with_loads(*other)))
+    after = simplex_solve(build_lpac(case14.with_loads(*loads[k])))
+    assert np.array_equal(alone.x, after.x)
+    assert np.array_equal(alone.duals, after.duals)
+    assert alone.iterations == after.iterations
+
+
+def test_simplex_matches_linprog_to_the_bit_on_random_lps():
+    # small LPs that presolve often solves outright, with zero iterations
+    rng = np.random.default_rng(3)
+    counts = []
+    for _ in range(60):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        columns = [(0.0, float(rng.uniform(1.0, 5.0)), float(rng.normal())) for _j in range(n)]
+        rows = [({j: float(rng.normal()) for j in range(n) if rng.random() < 0.7},
+                 (LE, GE, EQ)[int(rng.integers(0, 3))], float(rng.normal()))
+                for _i in range(m)]
+        lp = array_lp(columns, rows)
+        try:
+            mine = simplex_solve(lp)
+        except InfeasibleError:
+            continue
+        x, duals, objective, iterations = linprog_highs_ds(lp)
+        assert np.array_equal(mine.x, x) and np.array_equal(mine.duals, duals)
+        assert np.array_equal(mine.objective, objective) and mine.iterations == iterations
+        counts.append(iterations)
+    assert len(counts) > 15 and 0 in counts and max(counts) > 0

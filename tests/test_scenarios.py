@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from acrestore import benchmark_restore, eval_h, scenarios, wls_restore
+from acrestore import benchmark_restore, eval_h, lpac, scenarios, wls_restore
 from acrestore.acpf import PowerFlowError
 from acrestore.netmodel import Network
 from acrestore.scenarios import (
@@ -257,6 +257,24 @@ def test_lpac_dataset_skips_failed_ground_truth(case5, caplog, monkeypatch):
         records = build_lpac_dataset(case5, loads)
     assert [rec.index for rec in records] == [1]
     assert "scenario 0 skipped (ground truth): power flow diverged (injected)" in caplog.text
+
+
+def test_lpac_dataset_skips_failed_certificate(case5, caplog, monkeypatch):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=3, sigma=0.05, seed=37))
+    verify = lpac.verify_certificates
+
+    def fail_scenario_1(result):
+        cert = verify(result)
+        if np.array_equal(result.std.row_hi, lpac.build_lpac(case5.with_loads(*loads[1])).row_hi):
+            cert = dict(cert, ok=False, gap=1.0)
+        return cert
+
+    monkeypatch.setattr(lpac, "verify_certificates", fail_scenario_1)
+    with caplog.at_level("WARNING", logger="acrestore.scenarios"):
+        records = build_lpac_dataset(case5, loads)
+    assert [rec.index for rec in records] == [0, 2]
+    assert "scenario 1 skipped (approximation): certificate check failed: {'ok': False" in caplog.text
+    assert "scenario 0 skipped" not in caplog.text and "scenario 2 skipped" not in caplog.text
 
 
 def test_lpac_dataset_propagates_programming_errors(case5, monkeypatch):
