@@ -1,6 +1,6 @@
-"""Cold-start linear-programming approximation of the OPF, solved by the
-HiGHS dual simplex that ships with scipy, with an optimality certificate
-checked on the original LP.
+"""Cold-start linear-programming approximation of the OPF (linearized at
+the flat point), solved by the HiGHS dual simplex that ships with scipy,
+with an optimality certificate checked on the original LP.
 
 The model works in voltage-deviation coordinates (v = vm - 1), linearizes
 the flow equations around the flat point, represents cos(angle difference)
@@ -17,12 +17,14 @@ stored. HiGHS's pivoting path depends on that order: reordering may change
 its iteration count and, among cost-equal optima, the vertex it returns.
 
 Only the bus balance rows' bounds depend on the loads. build_lpac
-assembles everything else once per topology, in the network's
-per-topology store shared by its `with_loads` copies, and each call copies
-the row bounds and writes the loads into them. The LPs it returns share
-the read-only matrix, costs and column bounds, and the matrix HiGHS gets,
-its rows in `linprog`'s order and signs, which `simplex_solve` stacks on
-the first solve of the model.
+assembles the model once per topology, at the case's own loads, in the
+network's per-topology store shared by its `with_loads` copies, and each
+call copies the row bounds and writes the loads into them. The LPs it
+returns share the read-only matrix, costs and column bounds, and what
+`simplex_solve` makes of the model on its first solve: the HiGHS form
+(rows in `linprog`'s order and signs) and the optimal basis at the case's
+loads. From that basis the LPs solve warm, in a few dual simplex
+iterations; every other LP solves cold, exactly as `linprog` would.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ class LinearProgram:
     upper: np.ndarray
     var_names: tuple[str, ...]
     row_names: tuple[str, ...]
-    # the rows as HiGHS takes them, made on the first solve (see _highs_form)
+    # the LP as HiGHS takes it, made on the first solve (see _highs_form), and
+    # for build_lpac's LPs the case's rows and start basis (see _start_basis)
     _highs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,14 +165,18 @@ _STATUS_ERRORS = {"kIterationLimit": IterationLimitError, "kInfeasible": Infeasi
 # linprog(method="highs-ds")'s options; simplex strategy 1 is the dual simplex
 _HIGHS_OPTIONS = {"presolve": "on", "solver": "simplex", "simplex_strategy": 1,
                   "highs_debug_level": 0, "output_flag": False, "log_to_console": False}
+# a warm solve takes Devex dual edge weights (1): the default steepest-edge
+# weights cost more to set up from a non-slack basis than the few pivots left
+_WARM_OPTIONS = {**_HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": 1}
 
 
 def _highs_form(lp: LinearProgram) -> tuple:
-    """The rows as linprog(method="highs-ds") hands them to HiGHS, made on
-    the first solve of the model and shared by the LPs build_lpac derives
-    from it: the row order (inequalities, then equalities), the signs in
-    that order (-1 on rows with a finite lower side, which enter negated)
-    and the signed rows in that order as one column-wise HiGHS matrix."""
+    """The LP as linprog(method="highs-ds") hands it to HiGHS, made on the
+    first solve of the model and shared by the LPs build_lpac derives from
+    it: the row order (inequalities, then equalities), the signs in that
+    order (-1 on rows with a finite lower side, which enter negated), the
+    signed rows in that order as one column-wise HiGHS matrix, and the
+    costs and column bounds as lists."""
     if "form" not in lp._highs:
         import scipy.sparse as sp
         from scipy.optimize._highspy import _core as highs
@@ -183,8 +190,48 @@ def _highs_form(lp: LinearProgram) -> tuple:
         # pybind converts a list to a C++ vector faster than a numpy array
         matrix.start_, matrix.index_, matrix.value_ = (
             a.tolist() for a in (csc.indptr, csc.indices, csc.data))
-        lp._highs.setdefault("form", (order, sign, matrix))
+        columns = tuple(v.tolist() for v in (lp.c_vec, lp.lower, lp.upper))
+        lp._highs.setdefault("form", (order, sign, matrix, columns))
     return lp._highs["form"]
+
+
+def _run_highs(lp: LinearProgram, row_lo, row_hi, max_iter=None, basis=None):
+    """A fresh HiGHS solver run on the LP with the given row bounds, cold
+    with linprog's options or, given a basis, warm from it; returns the
+    solver and its model status."""
+    # scipy.sparse and scipy.optimize are imported on first use: at module
+    # level they cost every process that never builds or solves an LP ~0.3 s
+    # and ~20 MB
+    from scipy.optimize._highspy import _core as highs
+
+    order, sign, matrix, (cost, lower, upper) = _highs_form(lp)
+    lo, hi = row_lo[order], row_hi[order]
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_, model.a_matrix_ = lp.n_var, lp.n_row, matrix
+    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lower, upper
+    model.row_lower_, model.row_upper_ = np.where(sign < 0, [-hi, -lo], [lo, hi]).tolist()
+    solver = highs._Highs()
+    limit = {} if max_iter is None else {"simplex_iteration_limit": max_iter}
+    for name, value in {**(_HIGHS_OPTIONS if basis is None else _WARM_OPTIONS), **limit}.items():
+        solver.setOptionValue(name, value)
+    status = highs.HighsModelStatus.kModelError
+    if solver.passModel(model) != highs.HighsStatus.kError:
+        if basis is not None:
+            solver.setBasis(basis)
+        solver.run()
+        status = solver.getModelStatus()
+    return solver, status
+
+
+def _start_basis(lp: LinearProgram):
+    """The optimal basis of the stored LPAC model at the case's own loads,
+    from a cold solve on the first warm solve of the model, or None where
+    that solve is not optimal."""
+    store = lp._highs
+    if "basis" not in store:
+        solver, status = _run_highs(lp, *store["case_rows"])
+        store.setdefault("basis", solver.getBasis() if status.name == "kOptimal" else None)
+    return store["basis"]
 
 
 def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
@@ -194,35 +241,25 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     InfeasibleError, UnboundedError, IterationLimitError, or SimplexError
     for any other solver outcome, each naming HiGHS's model status.
 
-    scipy's private HiGHS binding gets linprog's row order, signs and
-    options (a negated row keeps both sides), so x, the duals and the
-    iterations are linprog's to the bit; the parity test in
+    An LP from build_lpac solves warm: HiGHS starts from the optimal basis
+    of the same model at the case's own loads (see build_lpac), which stays
+    dual feasible when only the balance rows move, and takes Devex edge
+    weights; a scenario then takes a few iterations instead of hundreds.
+    The result is certified optimal like a cold one and its objective is
+    the cold solve's up to rounding, but x may be another cost-equal vertex
+    where the optimum is degenerate (see build_lpac's tie-break). Any other
+    LP solves cold: scipy's private HiGHS binding gets linprog's row order,
+    signs and options (a negated row keeps both sides), so x, the duals and
+    the iterations are linprog's to the bit; the parity test in
     tests/test_lpac.py catches a scipy release that breaks that. A fresh
     solver runs each solve, so no result depends on earlier solves.
     """
-    # scipy.sparse and scipy.optimize are imported on first use: at module
-    # level they cost every process that never builds or solves an LP ~0.3 s
-    # and ~20 MB
-    from scipy.optimize._highspy import _core as highs
-
-    order, sign, matrix = _highs_form(lp)
-    lo, hi = lp.row_lo[order], lp.row_hi[order]
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_, model.a_matrix_ = lp.n_var, lp.n_row, matrix
-    model.col_cost_, model.col_lower_, model.col_upper_ = (
-        v.tolist() for v in (lp.c_vec, lp.lower, lp.upper))
-    model.row_lower_, model.row_upper_ = np.where(sign < 0, [-hi, -lo], [lo, hi]).tolist()
-    solver = highs._Highs()
-    limit = {} if max_iter is None else {"simplex_iteration_limit": max_iter}
-    for name, value in {**_HIGHS_OPTIONS, **limit}.items():
-        solver.setOptionValue(name, value)
-    status = highs.HighsModelStatus.kModelError
-    if solver.passModel(model) != highs.HighsStatus.kError:
-        solver.run()
-        status = solver.getModelStatus()
-    if status != highs.HighsModelStatus.kOptimal:
+    basis = _start_basis(lp) if "case_rows" in lp._highs else None
+    solver, status = _run_highs(lp, lp.row_lo, lp.row_hi, max_iter, basis)
+    if status.name != "kOptimal":
         raise _STATUS_ERRORS.get(status.name, SimplexError)(
             f"HiGHS model status: {solver.modelStatusToString(status)}")
+    order, sign = _highs_form(lp)[:2]
     solution = solver.getSolution()
     duals = np.empty(lp.n_row)
     duals[order] = sign * np.array(solution.row_dual)
@@ -404,23 +441,34 @@ def build_lpac(
     otherwise degenerate on shunt-free networks. Pass v_tiebreak=0 to drop
     the penalty.
 
-    The load-independent model is built once per topology and its four
-    settings, and shared read-only by the LPs returned; each call copies
+    The model is built once per topology and its four settings, at the
+    case's own loads (`Network.case_loads`) whichever `with_loads` copy
+    asks first, and shared read-only by the LPs returned; each call copies
     only the row bounds and writes the network's loads into the balance
-    rows (4 * n_branch onward, P and Q interleaved per bus).
+    rows (4 * n_branch onward, P and Q interleaved per bus). The LPs
+    returned solve warm from the model's optimal basis (see simplex_solve).
     """
     if n_cos_tangents < 2 or n_circle_cuts < 2 or n_cost_segments < 2:
         raise ValueError("tangent, circle-cut, and cost-segment counts must be >= 2")
     settings = (n_cos_tangents, n_circle_cuts, n_cost_segments,
                 v_tiebreak if v_tiebreak > 0.0 else 0.0)
-    model = network.per_topology(("lpac",) + settings, lambda: _build_model(network, *settings))
+    model = network.per_topology(("lpac",) + settings, lambda: _case_model(network, settings))
     balance = slice(4 * network.n_branch, 4 * network.n_branch + 2 * network.n_bus)
     row_lo, row_hi = model.row_lo.copy(), model.row_hi.copy()
     row_lo[balance] = row_hi[balance] = _balance_bounds(network)
     lp = replace(model, row_lo=row_lo, row_hi=row_hi)
-    # every row keeps its sense, so the model's HiGHS row form fits
+    # every row keeps its sense, so the model's HiGHS form and start basis fit
     object.__setattr__(lp, "_highs", model._highs)
     return lp
+
+
+def _case_model(network: Network, settings) -> LinearProgram:
+    """The model build_lpac stores: _build_model at the case's own loads,
+    whichever copy of the network asks first, with those row bounds kept
+    for the start basis of its warm solves (see simplex_solve)."""
+    model = _build_model(network.with_loads(*network.case_loads), *settings)
+    model._highs["case_rows"] = (model.row_lo, model.row_hi)
+    return model
 
 
 def _balance_bounds(network: Network) -> np.ndarray:

@@ -8,8 +8,9 @@ after construction and safe to share between workers.
 A network's topology is everything but its loads. `Network.with_loads`
 copies a network for one load scenario without validating or deriving the
 topology again: the copy shares its parent's read-only topology arrays and
-one per-topology store, where `per_topology` keeps load-independent values
-(the canonical measurement layout, the LPAC model) for every copy to reuse.
+one per-topology store, where `per_topology` keeps values that depend only
+on the topology and the loads it was built with, `case_loads` (the
+canonical measurement layout, the LPAC model), for every copy to reuse.
 """
 
 from __future__ import annotations
@@ -236,7 +237,10 @@ class Network:
             object.__setattr__(self, name, array)
         object.__setattr__(self, "p_load", np.array([b.p_load for b in self.buses]))
         object.__setattr__(self, "q_load", np.array([b.q_load for b in self.buses]))
-        object.__setattr__(self, "_topology", {})
+        case_loads = (self.p_load.copy(), self.q_load.copy())
+        for array in case_loads:
+            array.flags.writeable = False
+        object.__setattr__(self, "_topology", {"case_loads": case_loads})
 
         self._check_connected()
 
@@ -311,10 +315,17 @@ class Network:
         vars(copy).update(state, buses=buses, **loads)
         return copy
 
+    @property
+    def case_loads(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p_load, q_load), read-only, of the network this topology was
+        built with: its own loads, or its parent's `case_loads` if it is a
+        `with_loads` copy. A per-topology value that needs loads takes these."""
+        return self._topology["case_loads"]
+
     def per_topology(self, key, build):
         """The value stored under key for this network's topology, made by
         build() on first use. Every `with_loads` copy shares the store, so
-        build() must depend on nothing but the topology."""
+        build() must depend on nothing but the topology and `case_loads`."""
         store = self._topology
         if key not in store:
             store.setdefault(key, build())

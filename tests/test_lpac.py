@@ -562,6 +562,14 @@ def test_lpac_solution_fields(case5):
     assert np.all(np.abs(dtheta) <= limits + 1e-9)
 
 
+@pytest.mark.parametrize("name", ["case57", "case118"])
+def test_solve_lpac_certifies_scenarios_on_large_cases(all_fixtures, name):
+    network = all_fixtures[name]
+    for pair in gen_load_scenarios(network, ScenarioSpec(count=4, seed=0)):
+        sol = solve_lpac(network.with_loads(*pair), check=True)
+        assert np.all(np.isfinite(sol.v)) and sol.objective > 0.0
+
+
 def test_lpac_infeasible_on_absurd_load(case5):
     heavy = case5.with_loads(case5.p_load * 5.0, case5.q_load * 5.0)
     with pytest.raises(InfeasibleError):
@@ -636,12 +644,37 @@ def test_stored_model_equals_a_fresh_build(all_fixtures, name):
 
 @pytest.mark.parametrize("name", ["case5", "case14"])
 def test_stored_model_solves_like_a_fresh_build(all_fixtures, name):
+    # warm solves from the fixture's stored model, whatever solved it before,
+    # and from the model of a freshly loaded case
+    fresh_case = load_bundled_case(name)
     for scen in scenario_networks(all_fixtures[name], count=4):
         mine = simplex_solve(build_lpac(scen))
-        fresh = simplex_solve(_build_model(scen, *MODEL_SETTINGS[0]))
+        fresh = simplex_solve(build_lpac(fresh_case.with_loads(scen.p_load, scen.q_load)))
         assert np.array_equal(mine.x, fresh.x)
         assert np.array_equal(mine.duals, fresh.duals)
         assert mine.iterations == fresh.iterations
+
+
+def stored_model(network, settings=MODEL_SETTINGS[0]):
+    return network.per_topology(("lpac",) + settings, lambda: pytest.fail("no stored model"))
+
+
+@pytest.mark.parametrize("name", ["case5", "case14"])
+def test_stored_model_holds_the_case_loads_whichever_copy_builds_it(name):
+    by_copy, by_root = load_bundled_case(name), load_bundled_case(name)
+    scen = scenario_networks(by_copy, count=3)
+    build_lpac(scen[-1])  # a copy of a copy builds the model
+    build_lpac(by_root)
+    own = _build_model(by_root, *MODEL_SETTINGS[0])
+    for model in (stored_model(by_copy), stored_model(by_root)):
+        assert np.array_equal(model.row_lo, own.row_lo)
+        assert np.array_equal(model.row_hi, own.row_hi)
+    for copy in scen:
+        mine = simplex_solve(build_lpac(copy))
+        theirs = simplex_solve(build_lpac(by_root.with_loads(copy.p_load, copy.q_load)))
+        assert np.array_equal(mine.x, theirs.x)
+        assert np.array_equal(mine.duals, theirs.duals)
+        assert mine.iterations == theirs.iterations
 
 
 def test_scenario_lps_share_the_read_only_model(case14):
@@ -687,15 +720,58 @@ def linprog_highs_ds(lp: LinearProgram):
                                         ("case118", 1)])
 @pytest.mark.parametrize("v_tiebreak", [1.0, 0.0])
 def test_simplex_matches_linprog_to_the_bit(all_fixtures, name, count, v_tiebreak):
+    # cold solves: _build_model's LPs carry no start basis. The first is the
+    # solve at the case's own loads that gives build_lpac's LPs their start
+    # basis; a warm solve from it repeats it bit for bit in no iteration.
     network = all_fixtures[name]
-    for loads in gen_load_scenarios(network, ScenarioSpec(count=count, seed=0)):
-        lp = build_lpac(network.with_loads(*loads), v_tiebreak=v_tiebreak)
+    settings = (9, 8, 6, v_tiebreak)
+    loads = gen_load_scenarios(network, ScenarioSpec(count=count, seed=0))
+    for k, net in enumerate([network] + [network.with_loads(*pair) for pair in loads]):
+        lp = _build_model(net, *settings)
         mine = simplex_solve(lp)
         x, duals, objective, iterations = linprog_highs_ds(lp)
         assert np.array_equal(mine.x, x)
         assert np.array_equal(mine.duals, duals)
         assert np.array_equal(mine.objective, objective)
         assert mine.iterations == iterations
+        if k == 0:
+            warm = simplex_solve(build_lpac(net, *settings))
+            assert np.array_equal(warm.x, x) and np.array_equal(warm.duals, duals)
+            assert warm.iterations == 0
+
+
+@pytest.mark.parametrize("name,count", [("case5", 6), ("case14", 6), ("case57", 3),
+                                        ("case118", 3)])
+@pytest.mark.parametrize("v_tiebreak", [1.0, 0.0])
+def test_warm_scenario_solves_agree_with_linprog(all_fixtures, name, count, v_tiebreak):
+    # a warm solve certifies and reaches linprog's optimal cost in a tenth of
+    # its iterations; without the tie-break the optimum is degenerate and x
+    # may be another cost-equal vertex (up to 1.4 apart on case118)
+    network = all_fixtures[name]
+    for pair in gen_load_scenarios(network, ScenarioSpec(count=count, seed=0)):
+        lp = build_lpac(network.with_loads(*pair), v_tiebreak=v_tiebreak)
+        mine = simplex_solve(lp)
+        x, _duals, objective, iterations = linprog_highs_ds(lp)
+        cert = verify_certificates(mine, tol=1e-9)
+        assert cert["ok"], cert
+        assert mine.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
+        if v_tiebreak:
+            assert np.max(np.abs(mine.x - x)) <= 1e-9
+        assert mine.iterations <= iterations / 10
+
+
+def test_failed_start_basis_leaves_the_solve_cold(case5):
+    # a case whose own loads make the model infeasible gives no start basis,
+    # so its scenarios solve cold, as linprog would
+    heavy = Network(case5.base_mva, case5.with_loads(case5.p_load * 5.0, case5.q_load * 5.0).buses,
+                    case5.branches, case5.generators, "heavy")
+    with pytest.raises(InfeasibleError):
+        simplex_solve(build_lpac(heavy))
+    lp = build_lpac(heavy.with_loads(case5.p_load, case5.q_load))
+    mine = simplex_solve(lp)
+    x, duals, _objective, iterations = linprog_highs_ds(lp)
+    assert np.array_equal(mine.x, x) and np.array_equal(mine.duals, duals)
+    assert mine.iterations == iterations > 0
 
 
 def test_scenario_solve_does_not_depend_on_earlier_solves(case14):

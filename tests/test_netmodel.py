@@ -226,6 +226,17 @@ def test_with_loads_shares_the_read_only_topology(case5):
     assert copy.p_load is not case5.p_load
 
 
+def test_with_loads_copies_keep_the_case_loads(case5):
+    copy = case5.with_loads(case5.p_load * 1.1, case5.q_load).with_loads(case5.p_load * 0.9,
+                                                                         case5.q_load * 2.0)
+    p_case, q_case = copy.case_loads
+    assert copy.case_loads is case5.case_loads
+    assert np.array_equal(p_case, case5.p_load) and np.array_equal(q_case, case5.q_load)
+    with pytest.raises(ValueError, match="read-only"):
+        p_case[0] = 0
+    assert np.array_equal(rebuilt(copy).case_loads[1], copy.q_load)
+
+
 @pytest.mark.parametrize(
     "p_size,q_size,message",
     [(15, 14, r"p_load: expected 14 per-bus loads, got shape \(15,\)"),
