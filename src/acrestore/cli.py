@@ -99,7 +99,7 @@ def cmd_parse(args) -> int:
         f"{network.n_gen} generators, base {network.base_mva:g} MVA, "
         f"slack bus {network.buses[network.slack].id}"
     )
-    print(f"hash {fileio.network_hash(network)}")
+    print(f"hash {network.case_hash}")
     if args.out:
         from .netmodel import serialize_case
 
@@ -269,7 +269,6 @@ def cmd_train(args) -> int:
         eta=args.eta,
         max_iter=args.iters,
         w_init=default_initial_weights(layout),
-        threads=args.threads,
     )
     weights, trace = train_weights(network, train_recs, config)
     fileio.write_weights(args.out, network, layout, weights)
@@ -464,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--eta", type=float, default=10.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.set_defaults(fn=cmd_train)

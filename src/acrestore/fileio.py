@@ -80,14 +80,9 @@ def require(payload: dict, key: str, path):
     return payload[key]
 
 
-def network_hash(network: Network) -> str:
-    """The network's case hash, which it computes once (`Network.case_hash`)."""
-    return network.case_hash
-
-
 def check_network_hash(payload: dict, network: Network, path):
     stored = payload.get("network_hash")
-    if stored and stored != network_hash(network):
+    if stored and stored != network.case_hash:
         raise FormatError(
             f"{path}: file was produced for a different network (hash mismatch)"
         )
@@ -164,7 +159,7 @@ def solution_to_json(network: Network, sol: SolutionFile) -> dict:
         "schema": SOLUTION_SCHEMA,
         "formulation": sol.formulation,
         "base_mva": network.base_mva,
-        "network_hash": network_hash(network),
+        "network_hash": network.case_hash,
         "bus": {
             "ids": [b.id for b in network.buses],
             "vm": arr(sol.vm),
@@ -283,7 +278,7 @@ def operating_point_solution(network: Network, op: OperatingPoint, formulation: 
 def write_weights(path, network: Network, kinds, weights: np.ndarray):
     payload = {
         "schema": WEIGHTS_SCHEMA,
-        "network_hash": network_hash(network),
+        "network_hash": network.case_hash,
         "layout": layout_to_json(network, kinds),
         "values": np.asarray(weights, dtype=float).tolist(),
     }
@@ -345,7 +340,7 @@ def write_dataset(root, network: Network, records, train_idx, test_idx, meta: di
     present = {rec.index for rec in records}
     manifest = {
         "schema": MANIFEST_SCHEMA,
-        "network_hash": network_hash(network),
+        "network_hash": network.case_hash,
         "layout": layout_to_json(network, layout),
         "train_indices": [i for i in train_idx if i in present],
         "test_indices": [i for i in test_idx if i in present],

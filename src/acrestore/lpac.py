@@ -67,8 +67,8 @@ class LinearProgram:
     a_mat is the m x n CSR matrix of the rows in build order. A side a row
     or a variable leaves open is an infinite bound; equal sides make an
     equality. Construction checks the arrays once and raises ValueError on
-    a non-finite coefficient, a NaN bound, an empty interval or shapes that
-    disagree.
+    a non-finite coefficient, a NaN bound, an empty interval (a lower side
+    of +inf or an upper side of -inf among them) or shapes that disagree.
     """
 
     a_mat: sp.csr_array
@@ -91,9 +91,10 @@ class LinearProgram:
             raise ValueError(f"LP of shape {(n_row, n_var)}: row arrays {rows}, columns {cols}")
         if not (np.isfinite(self.a_mat.data).all() and np.isfinite(self.c_vec).all()):
             raise ValueError("LP: non-finite coefficient")
-        # a NaN bound fails the comparison as well
-        if not (np.all(self.lower <= self.upper) and np.all(self.row_lo <= self.row_hi)):
-            raise ValueError("LP: empty or NaN bound interval")
+        # a NaN bound fails the comparisons as well
+        for lo, hi in ((self.lower, self.upper), (self.row_lo, self.row_hi)):
+            if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
+                raise ValueError("LP: empty or NaN bound interval")
 
     @property
     def n_var(self) -> int:

@@ -11,25 +11,24 @@ each record's restoration from the state it converged to on the previous
 Adam iteration; the first iteration, and a record skipped on the previous
 one, start flat, as does every restoration in `accumulate_gradient`.
 
-All records share one measurement layout, so a gradient pass compiles it
-once and hands the compiled layout to every restoration and sensitivity;
-its sparsity pattern, which the normal products sum over, is then built
-once per pass instead of once per call. Per-record restorations are
-independent, so the gradient pass can fan out over threads; the reduction
-is performed in record order, making results identical in sequential and
-threaded runs.
+All records share one measurement layout, so a training job (or one
+`accumulate_gradient` call) compiles it once and hands the compiled layout
+to every restoration and sensitivity; its sparsity pattern, which the
+normal products sum over, is then built once per job instead of once per
+call. A gradient pass restores the records one after another and adds each
+record's gradient as it returns, in record order, so a run is
+deterministic.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .acpf import MeasurementSet, StateVector, compile_layout
+from .acpf import Layout, MeasurementSet, StateVector, compile_layout
 from .netmodel import Network
 from .sens import solution_sensitivity
 from .wls import W_FLOOR, ConvergenceError, wls_restore
@@ -58,9 +57,11 @@ class ScenarioRecord:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full-batch Adam: learning rate, iterations, starting weights (None =
-    `default_initial_weights`) and gradient-pass threads. Adam's constants
-    and the weight floor are fixed class constants, not options."""
+    """Full-batch Adam: learning rate, iterations and starting weights (None =
+    `default_initial_weights`). Adam's constants and the weight floor are
+    fixed class constants, not options. `threads` must be 1: training runs
+    one sequential loop, and the field goes with the next benchmark change,
+    whose workload still passes it."""
 
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
@@ -75,6 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.eta <= 0.0:
             raise ValueError("learning rate must be positive")
+        if self.threads != 1:
+            raise ValueError("training is sequential: threads must be 1")
 
 
 @dataclass
@@ -153,7 +156,7 @@ def _gradient_pass(
     network: Network,
     dataset: list[ScenarioRecord],
     weights: np.ndarray,
-    threads: int = 1,
+    layout: Layout,
     starts: list | None = None,
 ):
     """Gradient over the dataset, the restored state of each record (None
@@ -163,41 +166,28 @@ def _gradient_pass(
 
     A record whose solver fails (a RuntimeError: unobservable, not
     converged) is skipped with a log entry; more than 10% failures aborts.
-    Any other exception propagates. Contributions are reduced in record
-    order so threaded and sequential runs agree exactly.
+    Any other exception propagates.
     """
-    layout = compile_layout(network, check_layout(dataset))
     starts = starts if starts is not None else [None] * len(dataset)
-    per_record: list = [None] * len(dataset)
-    reasons: list = [None] * len(dataset)  # why each skipped record was skipped
-
-    def work(i):
+    grad = np.zeros(weights.size)
+    states, skipped = [], []
+    gn_iters = 0
+    for rec, x0 in zip(dataset, starts):
         try:
-            per_record[i] = _restore_and_weigh(network, dataset[i], weights, starts[i], layout)
+            rec_grad, state, iterations = _restore_and_weigh(network, rec, weights, x0, layout)
         except RuntimeError as exc:
-            logger.warning("record %d skipped: %s", dataset[i].index, exc)
-            reasons[i] = str(exc)
+            logger.warning("record %d skipped: %s", rec.index, exc)
+            states.append(None)
+            skipped.append((rec.index, str(exc)))
+            continue
+        grad += rec_grad
+        gn_iters += iterations
+        states.append(state)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(dataset))))
-    else:
-        for i in range(len(dataset)):
-            work(i)
-
-    skipped = [(rec.index, why) for rec, why in zip(dataset, reasons) if why is not None]
     if len(skipped) > 0.10 * len(dataset):
         raise TrainingError(
             f"{len(skipped)} of {len(dataset)} records failed restoration"
         )
-
-    grad = np.zeros(weights.size)
-    gn_iters = 0
-    for item in per_record:
-        if item is not None:
-            grad += item[0]
-            gn_iters += item[2]
-    states = [None if item is None else item[1] for item in per_record]
     return grad, states, gn_iters, skipped
 
 
@@ -205,11 +195,11 @@ def accumulate_gradient(
     network: Network,
     dataset: list[ScenarioRecord],
     weights: np.ndarray,
-    threads: int = 1,
 ) -> np.ndarray:
     """Summed loss gradient with respect to the weights over the dataset,
     every record restored from a flat start."""
-    return _gradient_pass(network, dataset, weights, threads=threads)[0]
+    layout = compile_layout(network, check_layout(dataset))
+    return _gradient_pass(network, dataset, weights, layout)[0]
 
 
 def adam_step(
@@ -244,14 +234,15 @@ def train_weights(
     analytic gradient, applies one Adam update, and records the loss of the
     restorations that produced the gradient.
     """
-    layout = check_layout(train_set)
+    kinds = check_layout(train_set)
     w = (
         np.asarray(config.w_init, dtype=float).copy()
         if config.w_init is not None
-        else default_initial_weights(layout)
+        else default_initial_weights(kinds)
     )
-    if w.size != len(layout):
-        raise ValueError(f"{w.size} initial weights for {len(layout)} measurements")
+    if w.size != len(kinds):
+        raise ValueError(f"{w.size} initial weights for {len(kinds)} measurements")
+    layout = compile_layout(network, kinds)
     m_t = np.zeros_like(w)
     v_t = np.zeros_like(w)
     trace = TrainTrace()
@@ -259,7 +250,7 @@ def train_weights(
 
     for t in range(1, config.max_iter + 1):
         grad, states, gn_iters, skipped = _gradient_pass(
-            network, train_set, w, threads=config.threads, starts=states
+            network, train_set, w, layout, starts=states
         )
         survivors = [rec for rec, state in zip(train_set, states) if state is not None]
         restored = [state for state in states if state is not None]

@@ -21,7 +21,6 @@ from acrestore.acpf import MeasurementError, MeasurementKind, MeasurementSet
 from acrestore.fileio import (
     FormatError,
     SolutionFile,
-    network_hash,
     read_dataset,
     read_solution,
     read_trace,
@@ -232,7 +231,7 @@ def test_trace_roundtrip(tmp_path):
 
 
 def test_network_hash_distinguishes_cases(case5, case14, two_bus):
-    hashes = {network_hash(case5), network_hash(case14), network_hash(two_bus)}
+    hashes = {case5.case_hash, case14.case_hash, two_bus.case_hash}
     assert len(hashes) == 3
     assert all(h.startswith("sha256:") for h in hashes)
 
@@ -248,14 +247,14 @@ def test_network_hash_is_computed_once(monkeypatch, tmp_path):
         return serialize(net)
 
     monkeypatch.setattr(netmodel, "serialize_case", counting)
-    assert network_hash(network) == fresh
+    assert network.case_hash == fresh
     sol = SolutionFile(formulation="flat", vm=np.ones(network.n_bus))
     write_solution(tmp_path / "s.json", network, sol)
     read_solution(tmp_path / "s.json", network)
-    assert network_hash(network) == fresh
+    assert network.case_hash == fresh
     assert calls == [network]
     heavier = network.with_loads(network.p_load * 1.1, network.q_load)
-    assert network_hash(heavier) != fresh
+    assert heavier.case_hash != fresh
     assert calls == [network, heavier]
 
 

@@ -247,9 +247,11 @@ def test_simplex_errors_name_the_highs_status(error, status):
         UnboundedError: array_lp([(0.0, math.inf, -1.0)], [({0: 1.0}, GE, 0.0)]),
         IterationLimitError: array_lp([(0.0, math.inf, -1.0)] * 4,
                                       [({j: 1.0, (j + 1) % 4: 0.5}, LE, 2.0) for j in range(4)]),
-        # HiGHS refuses a column whose lower bound is +inf
-        SimplexError: array_lp([(math.inf, math.inf, 1.0)], [({0: 1.0}, GE, 1.0)]),
+        SimplexError: array_lp([(0.0, math.inf, 1.0)], [({0: 1.0}, GE, 1.0)]),
     }
+    # HiGHS refuses a column whose lower bound is +inf; construction refuses
+    # it too, so it is written into the LP's array afterwards
+    lps[SimplexError].lower[0] = math.inf
     with pytest.raises(SimplexError, match=f"HiGHS model status: {status}$") as info:
         simplex_solve(lps[error], max_iter=1 if error is IterationLimitError else None)
     assert type(info.value) is error
@@ -279,17 +281,22 @@ def test_linear_program_rejects_malformed_arrays():
     lp = tight_lp()
     nan_coefficient = lp.a_mat.copy()
     nan_coefficient.data[0] = np.nan
-    malformed = {
-        "a_mat": nan_coefficient,
-        "row_hi": np.array([np.inf, np.nan, 10.0]),
-        "lower": np.array([np.nan, -np.inf]),
-        "upper": np.array([-1.0, np.inf]),           # below x's lower bound 0
-        "row_lo": np.array([4.0, 2.0, -np.inf]),     # above the second row's 1
-        "c_vec": np.array([1.0, 3.0, 0.0]),          # three costs, two columns
-        "row_names": ("c0", "c1"),
-    }
-    for name, value in malformed.items():
-        with pytest.raises(ValueError):
+    malformed = [
+        ("a_mat", nan_coefficient),
+        ("row_hi", np.array([np.inf, np.nan, 10.0])),
+        ("lower", np.array([np.nan, -np.inf])),
+        ("upper", np.array([-1.0, np.inf])),           # below x's lower bound 0
+        ("row_lo", np.array([4.0, 2.0, -np.inf])),     # above the second row's 1
+        # infinite sides that leave nothing: HiGHS would call the model an error
+        ("lower", np.array([np.inf, -np.inf])),
+        ("upper", np.array([np.inf, -np.inf])),
+        ("row_lo", np.array([np.inf, -np.inf, -np.inf])),
+        ("row_hi", np.array([np.inf, -np.inf, 10.0])),
+        ("c_vec", np.array([1.0, 3.0, 0.0])),          # three costs, two columns
+        ("row_names", ("c0", "c1")),
+    ]
+    for name, value in malformed:
+        with pytest.raises(ValueError, match="^LP"):
             dataclasses.replace(lp, **{name: value})
 
 
@@ -349,7 +356,9 @@ def test_import_leaves_lp_solver_modules_unloaded():
     # solve only: importing them costs ~0.3 s and ~20 MB, which every process
     # that never builds an LP would pay. The estimator and its sensitivity
     # use numpy only, so no scipy module at all may load before that, not at
-    # import and not lazily during a restoration and a sensitivity.
+    # import and not lazily during a restoration, a sensitivity or a training
+    # iteration. Training runs one sequential loop, so no thread pool loads
+    # either.
     src = os.path.dirname(os.path.dirname(acrestore.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -364,6 +373,14 @@ def test_import_leaves_lp_solver_modules_unloaded():
             "z = MeasurementSet(kinds, values * 1.001); weights = [1e3] * z.m; "
             "result = wls_restore(net, z, weights); assert result.converged; "
             "solution_sensitivity(net, z, weights, result.state, values[:net.n_state]); "
+            "from acrestore.train import ScenarioRecord, TrainConfig, train_weights; "
+            "net = load_bundled_case('case5'); kinds = canonical_kinds(net); "
+            "x_ac = newton_pf(net, dispatch_spec(net)); "
+            "z = MeasurementSet(kinds, eval_h(net, x_ac, kinds) * 1.001); "
+            "record = ScenarioRecord(net.p_load, net.q_load, x_ac, z); "
+            "_, trace = train_weights(net, [record], TrainConfig(max_iter=1)); "
+            "assert trace.records_used == [1], trace; "
+            "assert 'concurrent.futures' not in sys.modules, 'thread pool loaded'; "
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
             "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], env=env,

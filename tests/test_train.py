@@ -165,7 +165,6 @@ def one_iteration(network, z, weights):
     return wls_restore(network, z, weights, max_iter=1)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "fault,message",
     [
@@ -173,20 +172,19 @@ def one_iteration(network, z, weights):
         (one_iteration, "record 3 skipped: restoration did not converge in 1 iterations"),
     ],
 )
-def test_solver_error_skips_record(case5, caplog, monkeypatch, threads, fault, message):
+def test_solver_error_skips_record(case5, caplog, monkeypatch, fault, message):
     rng = np.random.default_rng(12)
     records = [make_record(case5, rng, noise_std=1e-3, index=i) for i in range(10)]
     w = default_initial_weights(records[0].z.kinds)
     expected = accumulate_gradient(case5, records[:3] + records[4:], w)
     monkeypatch.setattr(train, "wls_restore", fail_record_3(records, fault))
     with caplog.at_level("WARNING", logger="acrestore.train"):
-        grad = accumulate_gradient(case5, records, w, threads=threads)
+        grad = accumulate_gradient(case5, records, w)
     assert np.array_equal(grad, expected)
     assert message in caplog.text
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_programming_error_in_a_record_propagates(case5, monkeypatch, threads):
+def test_programming_error_in_a_record_propagates(case5, monkeypatch):
     rng = np.random.default_rng(12)
     records = [make_record(case5, rng, noise_std=1e-3, index=i) for i in range(10)]
     w = default_initial_weights(records[0].z.kinds)
@@ -196,16 +194,15 @@ def test_programming_error_in_a_record_propagates(case5, monkeypatch, threads):
 
     monkeypatch.setattr(train, "wls_restore", fail_record_3(records, mistyped))
     with pytest.raises(TypeError, match="injected"):
-        accumulate_gradient(case5, records, w, threads=threads)
+        accumulate_gradient(case5, records, w)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_wrong_length_weights_raise(case5, threads):
+def test_wrong_length_weights_raise(case5):
     rng = np.random.default_rng(12)
     records = [make_record(case5, rng, noise_std=1e-3, index=i) for i in range(10)]
     w = default_initial_weights(records[0].z.kinds)[:-1]
     with pytest.raises(ValueError, match="weights for"):
-        accumulate_gradient(case5, records, w, threads=threads)
+        accumulate_gradient(case5, records, w)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +218,8 @@ def test_train_config_options_and_fixed_adam_constants():
     assert TrainConfig.w_floor == wls.W_FLOOR
     with pytest.raises(ValueError, match="learning rate must be positive"):
         TrainConfig(eta=0.0)
+    with pytest.raises(ValueError, match="threads must be 1"):
+        TrainConfig(threads=2)
 
 
 def test_adam_first_step_closed_form():
@@ -288,24 +287,9 @@ def test_training_reduces_loss_on_noisy_dataset(case5):
     assert all(wi >= config.w_floor for wi in w)
 
 
-def test_sequential_and_threaded_agree(case5):
-    rng = np.random.default_rng(10)
-    records = [make_record(case5, rng, noise_std=2e-3, index=i) for i in range(6)]
-    cfg_seq = TrainConfig(max_iter=5, threads=1)
-    cfg_par = TrainConfig(max_iter=5, threads=4)
-    w_seq, trace_seq = train_weights(case5, records, cfg_seq)
-    w_par, trace_par = train_weights(case5, records, cfg_par)
-    assert w_par == pytest.approx(w_seq, abs=0)
-    assert trace_par.loss == pytest.approx(trace_seq.loss, abs=1e-12)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_gradient_pass_compiles_its_layout_once(case5, monkeypatch, threads):
-    rng = np.random.default_rng(15)
-    records = [make_record(case5, rng, noise_std=2e-3, index=i) for i in range(6)]
-    w = default_initial_weights(records[0].z.kinds)
-    expected = accumulate_gradient(case5, records, w)
-
+def watch_layouts(monkeypatch):
+    """Lists of the layouts compiled from kind sequences (by length) and of
+    the layout handed to each restoration and sensitivity in train."""
     compiled, handed = [], []
     compile_layout = acpf.compile_layout
 
@@ -324,10 +308,36 @@ def test_gradient_pass_compiles_its_layout_once(case5, monkeypatch, threads):
         monkeypatch.setattr(module, "compile_layout", counting)
     monkeypatch.setattr(train, "wls_restore", receiving(train.wls_restore))
     monkeypatch.setattr(train, "solution_sensitivity", receiving(train.solution_sensitivity))
-    grad = accumulate_gradient(case5, records, w, threads=threads)
+    return compiled, handed
+
+
+def test_gradient_pass_compiles_its_layout_once(case5, monkeypatch):
+    rng = np.random.default_rng(15)
+    records = [make_record(case5, rng, noise_std=2e-3, index=i) for i in range(6)]
+    w = default_initial_weights(records[0].z.kinds)
+    expected = accumulate_gradient(case5, records, w)
+    compiled, handed = watch_layouts(monkeypatch)
+    grad = accumulate_gradient(case5, records, w)
     assert np.array_equal(grad, expected)
     assert compiled == [len(records[0].z.kinds)]
     assert len(handed) == 2 * len(records)
+    assert isinstance(handed[0], acpf.Layout) and all(layout is handed[0] for layout in handed)
+
+
+def test_training_job_compiles_its_layout_once(case5, monkeypatch):
+    # equal to the canonical kinds but another tuple, as a dataset read from
+    # a file holds them, so no per-topology cache serves it
+    kinds = tuple(list(canonical_kinds(case5)))
+    assert kinds == canonical_kinds(case5) and kinds is not canonical_kinds(case5)
+    rng = np.random.default_rng(15)
+    records = [make_record(case5, rng, noise_std=2e-3, index=i, kinds=kinds) for i in range(6)]
+    config = TrainConfig(max_iter=3)
+    expected, _ = train_weights(case5, records, config)
+    compiled, handed = watch_layouts(monkeypatch)
+    w, _ = train_weights(case5, records, config)
+    assert np.array_equal(w, expected)
+    assert compiled == [len(kinds)]
+    assert len(handed) == 2 * len(records) * config.max_iter
     assert isinstance(handed[0], acpf.Layout) and all(layout is handed[0] for layout in handed)
 
 
@@ -394,31 +404,25 @@ def test_warm_started_training_matches_cold_starts(case5):
 def test_skipped_record_restarts_flat(case5, monkeypatch):
     rng = np.random.default_rng(14)
     records = [make_record(case5, rng, noise_std=2e-3, index=i) for i in range(10)]
-    runs = []
-    for threads in (1, 4):
-        starts = {i: [] for i in range(len(records))}
-        restored = {i: [] for i in range(len(records))}
+    starts = {i: [] for i in range(len(records))}
+    restored = {i: [] for i in range(len(records))}
 
-        def restore(network, z, weights, x0=None, **kwargs):
-            i = next(k for k, rec in enumerate(records) if rec.z is z)
-            starts[i].append(x0)
-            if i == 3 and len(starts[i]) == 2:
-                raise ConvergenceError("restoration did not converge (injected)")
-            result = wls_restore(network, z, weights, x0=x0, **kwargs)
-            restored[i].append(result.state)
-            return result
+    def restore(network, z, weights, x0=None, **kwargs):
+        i = next(k for k, rec in enumerate(records) if rec.z is z)
+        starts[i].append(x0)
+        if i == 3 and len(starts[i]) == 2:
+            raise ConvergenceError("restoration did not converge (injected)")
+        result = wls_restore(network, z, weights, x0=x0, **kwargs)
+        restored[i].append(result.state)
+        return result
 
-        monkeypatch.setattr(train, "wls_restore", restore)
-        w, trace = train_weights(case5, records, TrainConfig(max_iter=4, threads=threads))
-        runs.append((w, trace))
-        # record 3 starts warm on iteration 2, is skipped there, restarts
-        # flat on iteration 3 and warm again on iteration 4
-        assert starts[3][0] is None and starts[3][2] is None
-        assert starts[3][1] is restored[3][0] and starts[3][3] is restored[3][1]
-        for i in set(starts) - {3}:
-            assert all(a is b for a, b in zip(starts[i][1:], restored[i]))
-        assert trace.records_used == [10, 9, 10, 10]
-        assert trace.skipped == [[], [(3, "restoration did not converge (injected)")], [], []]
-    (w1, trace1), (w4, trace4) = runs
-    assert np.array_equal(w1, w4)
-    assert trace1 == trace4
+    monkeypatch.setattr(train, "wls_restore", restore)
+    _, trace = train_weights(case5, records, TrainConfig(max_iter=4))
+    # record 3 starts warm on iteration 2, is skipped there, restarts
+    # flat on iteration 3 and warm again on iteration 4
+    assert starts[3][0] is None and starts[3][2] is None
+    assert starts[3][1] is restored[3][0] and starts[3][3] is restored[3][1]
+    for i in set(starts) - {3}:
+        assert all(a is b for a, b in zip(starts[i][1:], restored[i]))
+    assert trace.records_used == [10, 9, 10, 10]
+    assert trace.skipped == [[], [(3, "restoration did not converge (injected)")], [], []]
