@@ -511,8 +511,11 @@ def newton_pf(
 ) -> StateVector:
     """Full Newton power flow; returns a state with mismatch below tol.
 
-    Raises PowerFlowError on non-convergence within max_iter or on a
-    singular Jacobian.
+    Starts from x0 (flat when None). Each step fills the reduced Jacobian,
+    [P at PV and PQ, Q at PQ] by [va at PV and PQ, vm at PQ], with one
+    scatter of the injection derivatives at the bus pairs. Raises
+    PowerFlowError on non-convergence within max_iter or on a singular
+    Jacobian.
     """
     nb = network.n_bus
     types = np.array(spec.bus_type)
@@ -520,6 +523,22 @@ def newton_pf(
     pv = np.flatnonzero(types == PV)
     pq = np.flatnonzero(types == PQ)
     pvpq = np.concatenate([pv, pq])
+    nr = pvpq.size + pq.size
+
+    pairs = network.per_topology("bus_pairs", lambda: _bus_pairs(nb, network.f_idx, network.t_idx))
+    n_pairs = pairs[0].size
+    # each bus's reduced position as a P row or va column (at[0]) and as a
+    # Q row or vm column (at[1]); -1 where it has none
+    at = np.full((2, nb), -1)
+    at[0, pvpq] = np.arange(pvpq.size)
+    at[1, pq] = pvpq.size + np.arange(pq.size)
+    rows, cols = at[:, None, pairs[0]], at[None, :, pairs[1]]
+    # the float view of the derivative pool holds dS/dvm, then dS/dva, at
+    # each pair, real and imaginary parts interleaved: P rows read real
+    # parts and Q rows imaginary ones, va columns dS/dva and vm columns dS/dvm
+    source = 2 * (np.arange(n_pairs) + np.array([[n_pairs], [0]])) + np.arange(2)[:, None, None]
+    keep = (rows >= 0) & (cols >= 0)
+    target, source = (rows * nr + cols)[keep], source[keep]
 
     if x0 is None:
         x0 = StateVector.flat(network)
@@ -530,10 +549,6 @@ def newton_pf(
     va[slack] = 0.0
 
     s_target = spec.p_set + 1j * spec.q_set
-    # injection derivatives are taken where ybus may be nonzero, then
-    # scattered into dense n_bus x n_bus blocks
-    pairs = _bus_pairs(nb, network.f_idx, network.t_idx)
-    at = pairs[0] * nb + pairs[1]
 
     for iteration in range(max_iter + 1):
         v = vm * np.exp(1j * va)
@@ -548,16 +563,11 @@ def newton_pf(
                 f"(max mismatch {np.max(np.abs(f)):.3e} p.u.)"
             )
 
-        derivatives = np.zeros((2, nb * nb), dtype=complex)
-        derivatives[:, at] = _injection_derivatives(network, v, *pairs)
-        ds_dvm, ds_dva = derivatives.reshape(2, nb, nb)
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
+        pool = np.concatenate(_injection_derivatives(network, v, *pairs))
+        jac = np.zeros(nr * nr)
+        jac[target] = pool.view(float)[source]
         try:
-            dx = np.linalg.solve(jac, -f)
+            dx = np.linalg.solve(jac.reshape(nr, nr), -f)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError("singular power-flow Jacobian") from exc
         va[pvpq] += dx[: pvpq.size]

@@ -10,7 +10,8 @@ copies a network for one load scenario without validating or deriving the
 topology again: the copy shares its parent's read-only topology arrays and
 one per-topology store, where `per_topology` keeps values that depend only
 on the topology and the loads it was built with, `case_loads` (the
-canonical measurement layout, the LPAC model), for every copy to reuse.
+canonical measurement layout, the bus pairs, the LPAC model, the case's
+own dispatch power flow), for every copy to reuse.
 """
 
 from __future__ import annotations

@@ -151,20 +151,33 @@ def dispatch_spec(network: Network, p_gen: np.ndarray | None = None) -> PfSpec:
     return generator_bus_spec(network, p_bus - network.p_load, np.ones(network.n_bus))
 
 
+def _case_power_flow(network: Network) -> StateVector | None:
+    """The dispatch power flow at the case's own loads, None if it fails."""
+    case = network.with_loads(*network.case_loads)
+    try:
+        return newton_pf(case, dispatch_spec(case, economic_dispatch(case)))
+    except PowerFlowError as exc:
+        logger.warning("case power flow failed, scenarios start flat: %s", exc)
+        return None
+
+
 def ground_truth_states(network: Network, loads: list) -> list[StateVector | None]:
     """Cost-aware dispatch ground truth: one solved power flow per scenario.
 
     Stands in for externally solved OPF states when none are supplied: units
     are committed by marginal cost and the resulting power flow is solved at
-    flat voltage targets. Unsolvable scenarios yield None and are skipped
-    downstream.
+    flat voltage targets, starting from the case's own dispatch power flow
+    (solved once per topology at `Network.case_loads`; flat if that fails),
+    so a state depends on its own scenario only. Unsolvable scenarios yield
+    None and are skipped downstream.
     """
+    start = network.per_topology("dispatch_power_flow", lambda: _case_power_flow(network))
     states: list[StateVector | None] = []
     for s, (p_load, q_load) in enumerate(loads):
         scen_net = network.with_loads(p_load, q_load)
         try:
             spec = dispatch_spec(scen_net, economic_dispatch(scen_net))
-            states.append(newton_pf(scen_net, spec))
+            states.append(newton_pf(scen_net, spec, x0=start))
         except PowerFlowError as exc:
             logger.warning("scenario %d: ground-truth power flow failed: %s", s, exc)
             states.append(None)

@@ -637,6 +637,69 @@ def test_newton_fixed_point(case14):
     assert np.max(np.abs(again.as_vector() - state.as_vector())) < 1e-8
 
 
+def dense_newton_pf(network, spec, x0):
+    """Reference Newton power flow with the dense Jacobian assembly: full
+    n_bus x n_bus derivative matrices, cut into four blocks by np.ix_ and
+    joined by np.block. Same start, steps and stopping rule as newton_pf."""
+    types = np.array(spec.bus_type)
+    slack = int(np.flatnonzero(types == SLACK)[0])
+    pv, pq = np.flatnonzero(types == PV), np.flatnonzero(types == PQ)
+    pvpq = np.concatenate([pv, pq])
+    vm, va = x0.vm.copy(), x0.va.copy()
+    vm[slack], vm[pv], va[slack] = spec.vm_set[slack], spec.vm_set[pv], 0.0
+    ybus = network.ybus
+    for _ in range(31):
+        v = vm * np.exp(1j * va)
+        mism = v * np.conj(ybus @ v) - (spec.p_set + 1j * spec.q_set)
+        f = np.concatenate([mism[pvpq].real, mism[pq].imag])
+        if np.max(np.abs(f)) < 1e-8:
+            return StateVector(vm, va, slack)
+        i_inj = ybus @ v
+        v_norm = np.exp(1j * np.angle(v))
+        # exact zeros off the bus pairs, where ybus is structurally zero
+        nonzero = ybus != 0
+        nonzero[np.diag_indices(network.n_bus)] = True
+        ds_dvm = np.where(nonzero, v[:, None] * np.conj(ybus * v_norm), 0)
+        ds_dvm[np.diag_indices(network.n_bus)] += np.conj(i_inj) * v_norm
+        ds_dva = np.where(nonzero, 1j * v[:, None] * np.conj(np.diag(i_inj) - ybus * v), 0)
+        jac = np.block([
+            [ds_dva[np.ix_(pvpq, pvpq)].real, ds_dvm[np.ix_(pvpq, pq)].real],
+            [ds_dva[np.ix_(pq, pvpq)].imag, ds_dvm[np.ix_(pq, pq)].imag],
+        ])
+        dx = np.linalg.solve(jac, -f)
+        va[pvpq] += dx[: pvpq.size]
+        vm[pq] += dx[pvpq.size:]
+    raise AssertionError("reference power flow did not converge")
+
+
+def consistent_spec(network, types, state):
+    """A spec of the given bus types that `state` solves exactly."""
+    v = state.voltages()
+    s = v * np.conj(network.ybus @ v)
+    return PfSpec(tuple(types), s.real, s.imag, state.vm)
+
+
+@pytest.mark.parametrize("name", ["case5", "case14", "case57", "case118"])
+def test_newton_scatter_matches_dense_assembly_bit_for_bit(name, request):
+    # the scatter fills the same entries with the same values as the dense
+    # assembly, so every iterate, and the returned state, are the same bits
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(61)
+    nb, slack = network.n_bus, network.slack
+    generator = proportional_spec(network)
+    flipped = [SLACK if t == SLACK else PV if t == PQ else PQ for t in generator.bus_type]
+    all_pq, all_pv = ([SLACK if i == slack else t for i in range(nb)] for t in (PQ, PV))
+    truth = newton_pf(network, generator)
+    specs = [generator] + [consistent_spec(network, types, truth)
+                           for types in (all_pq, all_pv, flipped)]
+    assert tuple(flipped) != generator.bus_type
+    starts = [StateVector.flat(network), perturbed_state(network, rng, 0.01, 0.02)]
+    for spec in specs:
+        for x0 in starts:
+            state = newton_pf(network, spec, x0=x0)
+            assert np.array_equal(state.as_vector(), dense_newton_pf(network, spec, x0).as_vector())
+
+
 # ---------------------------------------------------------------------------
 # benchmark restoration and reports
 # ---------------------------------------------------------------------------

@@ -356,9 +356,9 @@ def test_import_leaves_lp_solver_modules_unloaded():
     # solve only: importing them costs ~0.3 s and ~20 MB, which every process
     # that never builds an LP would pay. The estimator and its sensitivity
     # use numpy only, so no scipy module at all may load before that, not at
-    # import and not lazily during a restoration, a sensitivity or a training
-    # iteration. Training runs one sequential loop, so no thread pool loads
-    # either.
+    # import and not lazily during a ground-truth power flow, a restoration,
+    # a sensitivity or a training iteration. Training runs one sequential
+    # loop, so no thread pool loads either.
     src = os.path.dirname(os.path.dirname(acrestore.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -367,8 +367,9 @@ def test_import_leaves_lp_solver_modules_unloaded():
             "assert 'scipy.sparse' not in sys.modules; "
             "from acrestore import (MeasurementSet, canonical_kinds, eval_h, "
             "load_bundled_case, newton_pf, solution_sensitivity, wls_restore); "
-            "from acrestore.scenarios import dispatch_spec; "
+            "from acrestore.scenarios import dispatch_spec, ground_truth_states; "
             "net = load_bundled_case('case14'); kinds = canonical_kinds(net); "
+            "assert ground_truth_states(net, [(net.p_load * 1.01, net.q_load)])[0]; "
             "values = eval_h(net, newton_pf(net, dispatch_spec(net)), kinds); "
             "z = MeasurementSet(kinds, values * 1.001); weights = [1e3] * z.m; "
             "result = wls_restore(net, z, weights); assert result.converged; "
