@@ -496,10 +496,37 @@ class PfSpec:
     vm_set: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "bus_type", tuple(self.bus_type))  # newton_pf's key
         if self.bus_type.count(SLACK) != 1:
             raise ValueError("exactly one slack bus required")
         for name in ("p_set", "q_set", "vm_set"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+
+def _newton_index(network: Network, bus_type: tuple[str, ...]) -> tuple:
+    """newton_pf's index per topology and bus types: the slack, PV, PQ and
+    PV+PQ positions, the reduced size, each reduced-Jacobian entry's flat
+    target and its source in the derivative pool's float view, the pairs."""
+    pairs = _bus_pairs(network.n_bus, network.f_idx, network.t_idx)
+    types = np.array(bus_type)
+    slack = int(np.flatnonzero(types == SLACK)[0])
+    pv = np.flatnonzero(types == PV)
+    pq = np.flatnonzero(types == PQ)
+    pvpq = np.concatenate([pv, pq])
+    nr = pvpq.size + pq.size
+    n_pairs = pairs[0].size
+    # each bus's reduced position as a P row or va column (at[0]) and as a
+    # Q row or vm column (at[1]); -1 where it has none
+    at = np.full((2, network.n_bus), -1)
+    at[0, pvpq] = np.arange(pvpq.size)
+    at[1, pq] = pvpq.size + np.arange(pq.size)
+    rows, cols = at[:, None, pairs[0]], at[None, :, pairs[1]]
+    # the float view of the derivative pool holds dS/dvm, then dS/dva, at
+    # each pair, real and imaginary parts interleaved: P rows read real
+    # parts and Q rows imaginary ones, va columns dS/dva and vm columns dS/dvm
+    source = 2 * (np.arange(n_pairs) + np.array([[n_pairs], [0]])) + np.arange(2)[:, None, None]
+    keep = (rows >= 0) & (cols >= 0)
+    return slack, pv, pq, pvpq, nr, (rows * nr + cols)[keep], source[keep], pairs
 
 
 def newton_pf(
@@ -517,28 +544,8 @@ def newton_pf(
     PowerFlowError on non-convergence within max_iter or on a singular
     Jacobian.
     """
-    nb = network.n_bus
-    types = np.array(spec.bus_type)
-    slack = int(np.flatnonzero(types == SLACK)[0])
-    pv = np.flatnonzero(types == PV)
-    pq = np.flatnonzero(types == PQ)
-    pvpq = np.concatenate([pv, pq])
-    nr = pvpq.size + pq.size
-
-    pairs = network.per_topology("bus_pairs", lambda: _bus_pairs(nb, network.f_idx, network.t_idx))
-    n_pairs = pairs[0].size
-    # each bus's reduced position as a P row or va column (at[0]) and as a
-    # Q row or vm column (at[1]); -1 where it has none
-    at = np.full((2, nb), -1)
-    at[0, pvpq] = np.arange(pvpq.size)
-    at[1, pq] = pvpq.size + np.arange(pq.size)
-    rows, cols = at[:, None, pairs[0]], at[None, :, pairs[1]]
-    # the float view of the derivative pool holds dS/dvm, then dS/dva, at
-    # each pair, real and imaginary parts interleaved: P rows read real
-    # parts and Q rows imaginary ones, va columns dS/dva and vm columns dS/dvm
-    source = 2 * (np.arange(n_pairs) + np.array([[n_pairs], [0]])) + np.arange(2)[:, None, None]
-    keep = (rows >= 0) & (cols >= 0)
-    target, source = (rows * nr + cols)[keep], source[keep]
+    slack, pv, pq, pvpq, nr, target, source, pairs = network.per_topology(
+        ("newton_index", spec.bus_type), lambda: _newton_index(network, spec.bus_type))
 
     if x0 is None:
         x0 = StateVector.flat(network)
@@ -578,6 +585,13 @@ def newton_pf(
     raise PowerFlowError("unreachable")
 
 
+def _generator_bus_types(network: Network) -> tuple:
+    """Whether each bus hosts a unit, and generator_bus_spec's bus types."""
+    has_unit = np.bincount(network.gen_bus, minlength=network.n_bus) > 0
+    return has_unit, tuple(SLACK if k == network.slack else PV if unit else PQ
+                           for k, unit in enumerate(has_unit.tolist()))
+
+
 def generator_bus_spec(network: Network, p_set: np.ndarray, vm_set: np.ndarray) -> PfSpec:
     """The slack at the slack bus, PV at every other bus with a generating
     unit, PQ elsewhere.
@@ -585,11 +599,10 @@ def generator_bus_spec(network: Network, p_set: np.ndarray, vm_set: np.ndarray) 
     `p_set` (net injections) is read at the PV buses and `vm_set` at the
     slack and PV buses; each PQ bus injects minus its load.
     """
-    has_unit = np.bincount(network.gen_bus, minlength=network.n_bus) > 0
-    bus_type = [PV if unit else PQ for unit in has_unit.tolist()]
-    bus_type[network.slack] = SLACK
+    has_unit, bus_type = network.per_topology("generator_bus_types",
+                                              lambda: _generator_bus_types(network))
     return PfSpec(
-        tuple(bus_type),
+        bus_type,
         np.where(has_unit, p_set, -network.p_load),
         np.where(has_unit, 0.0, -network.q_load),
         np.where(has_unit, vm_set, 1.0),

@@ -21,10 +21,10 @@ assembles the model once per topology, at the case's own loads, in the
 network's per-topology store shared by its `with_loads` copies, and each
 call copies the row bounds and writes the loads into them. The LPs it
 returns share the read-only matrix, costs and column bounds, and what
-`simplex_solve` makes of the model on its first solve: the HiGHS form
-(rows in `linprog`'s order and signs) and the optimal basis at the case's
-loads. From that basis the LPs solve warm, in a few dual simplex
-iterations; every other LP solves cold, exactly as `linprog` would.
+`simplex_solve` makes of the model on its first solve: the HiGHS form and
+solver, and the optimal basis at the case's loads. From that basis the
+LPs solve warm, in a few dual simplex iterations; every other LP solves
+cold, exactly as `linprog` would.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class LinearProgram:
     or a variable leaves open is an infinite bound; equal sides make an
     equality. Construction checks the arrays once and raises ValueError on
     a non-finite coefficient, a NaN bound, an empty interval (a lower side
-    of +inf or an upper side of -inf among them) or shapes that disagree.
+    of +inf or an upper side of -inf among them) or shapes that disagree;
+    then it makes the arrays read-only.
     """
 
     a_mat: sp.csr_array
@@ -95,6 +96,10 @@ class LinearProgram:
         for lo, hi in ((self.lower, self.upper), (self.row_lo, self.row_hi)):
             if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
                 raise ValueError("LP: empty or NaN bound interval")
+        # checked once: a write would also leave the kept HiGHS form stale
+        for array in (self.a_mat.data, self.a_mat.indices, self.a_mat.indptr, self.c_vec,
+                      self.lower, self.upper, self.row_lo, self.row_hi):
+            array.flags.writeable = False
 
     @property
     def n_var(self) -> int:
@@ -159,13 +164,16 @@ class SimplexResult:
     duals: np.ndarray  # row multipliers y, reduced costs are c - A'y
     iterations: int  # HiGHS simplex iterations
     std: LinearProgram  # the LP as solved
+    warm: bool = False  # started from the model's optimal basis (see simplex_solve)
 
 
 _STATUS_ERRORS = {"kIterationLimit": IterationLimitError, "kInfeasible": InfeasibleError,
                   "kUnbounded": UnboundedError}
-# linprog(method="highs-ds")'s options; simplex strategy 1 is the dual simplex
+# linprog(method="highs-ds")'s options (simplex strategy 1 is the dual simplex)
+# and HiGHS's defaults, which a kept solver needs back after a warm or cut-short solve
 _HIGHS_OPTIONS = {"presolve": "on", "solver": "simplex", "simplex_strategy": 1,
-                  "highs_debug_level": 0, "output_flag": False, "log_to_console": False}
+                  "highs_debug_level": 0, "output_flag": False, "log_to_console": False,
+                  "simplex_dual_edge_weight_strategy": -1, "simplex_iteration_limit": 2147483647}
 # a warm solve takes Devex dual edge weights (1): the default steepest-edge
 # weights cost more to set up from a non-slack basis than the few pivots left
 _WARM_OPTIONS = {**_HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": 1}
@@ -176,9 +184,11 @@ def _highs_form(lp: LinearProgram) -> tuple:
     first solve of the model and shared by the LPs build_lpac derives from
     it: the row order (inequalities, then equalities), the signs in that
     order (-1 on rows with a finite lower side, which enter negated), the
-    signed rows in that order as one column-wise HiGHS matrix, and the
-    costs and column bounds as lists."""
+    model as a HiGHS LP (the signed rows in that order, column-wise, the
+    costs and column bounds; each solve writes the row bounds) and its solver."""
     if "form" not in lp._highs:
+        # scipy.sparse and scipy.optimize load on first use: at module level they
+        # cost every process that never builds or solves an LP ~0.3 s and ~20 MB
         import scipy.sparse as sp
         from scipy.optimize._highspy import _core as highs
 
@@ -191,30 +201,28 @@ def _highs_form(lp: LinearProgram) -> tuple:
         # pybind converts a list to a C++ vector faster than a numpy array
         matrix.start_, matrix.index_, matrix.value_ = (
             a.tolist() for a in (csc.indptr, csc.indices, csc.data))
-        columns = tuple(v.tolist() for v in (lp.c_vec, lp.lower, lp.upper))
-        lp._highs.setdefault("form", (order, sign, matrix, columns))
+        model = highs.HighsLp()
+        model.num_col_, model.num_row_, model.a_matrix_ = lp.n_var, lp.n_row, matrix
+        model.col_cost_, model.col_lower_, model.col_upper_ = (
+            v.tolist() for v in (lp.c_vec, lp.lower, lp.upper))
+        lp._highs.setdefault("form", (order, sign, model, highs._Highs()))
     return lp._highs["form"]
 
 
 def _run_highs(lp: LinearProgram, row_lo, row_hi, max_iter=None, basis=None):
-    """A fresh HiGHS solver run on the LP with the given row bounds, cold
-    with linprog's options or, given a basis, warm from it; returns the
-    solver and its model status."""
-    # scipy.sparse and scipy.optimize are imported on first use: at module
-    # level they cost every process that never builds or solves an LP ~0.3 s
-    # and ~20 MB
+    """The model's HiGHS solver run on the LP with the given row bounds,
+    cold with linprog's options or, given a basis, warm from it; returns the
+    solver and its model status. The model is passed anew, which replaces
+    the solver's factorization, so a run keeps nothing from the last."""
     from scipy.optimize._highspy import _core as highs
 
-    order, sign, matrix, (cost, lower, upper) = _highs_form(lp)
+    order, sign, model, solver = _highs_form(lp)
     lo, hi = row_lo[order], row_hi[order]
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_, model.a_matrix_ = lp.n_var, lp.n_row, matrix
-    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lower, upper
     model.row_lower_, model.row_upper_ = np.where(sign < 0, [-hi, -lo], [lo, hi]).tolist()
-    solver = highs._Highs()
     limit = {} if max_iter is None else {"simplex_iteration_limit": max_iter}
     for name, value in {**(_HIGHS_OPTIONS if basis is None else _WARM_OPTIONS), **limit}.items():
         solver.setOptionValue(name, value)
+    solver.clearModel()
     status = highs.HighsModelStatus.kModelError
     if solver.passModel(model) != highs.HighsStatus.kError:
         if basis is not None:
@@ -252,8 +260,12 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     LP solves cold: scipy's private HiGHS binding gets linprog's row order,
     signs and options (a negated row keeps both sides), so x, the duals and
     the iterations are linprog's to the bit; the parity test in
-    tests/test_lpac.py catches a scipy release that breaks that. A fresh
-    solver runs each solve, so no result depends on earlier solves.
+    tests/test_lpac.py catches a scipy release that breaks that.
+
+    The LPs of one model share its HiGHS solver. Each solve writes every
+    option and passes the model anew, so no result depends on earlier
+    solves (test_scenario_solve_does_not_depend_on_earlier_solves pins
+    that); but LPs of one model must not be solved concurrently.
     """
     basis = _start_basis(lp) if "case_rows" in lp._highs else None
     solver, status = _run_highs(lp, lp.row_lo, lp.row_hi, max_iter, basis)
@@ -265,8 +277,8 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     duals = np.empty(lp.n_row)
     duals[order] = sign * np.array(solution.row_dual)
     x = np.array(solution.col_value)
-    iterations = solver.getInfo().simplex_iteration_count
-    return SimplexResult(x, float(lp.c_vec @ x), duals, iterations, lp)
+    iterations = solver.getInfoValue("simplex_iteration_count")[1]
+    return SimplexResult(x, float(lp.c_vec @ x), duals, iterations, lp, basis is not None)
 
 
 def _sign_margin(mult: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -481,7 +493,7 @@ def _balance_bounds(network: Network) -> np.ndarray:
 
 def _build_model(network: Network, n_cos_tangents, n_circle_cuts, n_cost_segments,
                  v_tiebreak) -> LinearProgram:
-    """build_lpac's LP for the network, its arrays made read-only."""
+    """build_lpac's LP for the network."""
     lp = _Builder()
     nb, ne, ng = network.n_bus, network.n_branch, network.n_gen
     f, t = network.f_idx, network.t_idx
@@ -601,11 +613,7 @@ def _build_model(network: Network, n_cos_tangents, n_circle_cuts, n_cost_segment
         [(own, cost_col[list(cut_gen)], 1.0), (own, pg_col[list(cut_gen)], -np.array(slopes))],
         intercepts, np.inf, list(names),
     )
-    model = lp.program()
-    for array in (model.a_mat.data, model.a_mat.indices, model.a_mat.indptr, model.row_lo,
-                  model.row_hi, model.c_vec, model.lower, model.upper):
-        array.flags.writeable = False
-    return model
+    return lp.program()
 
 
 def extract_solution(network: Network, lp: LinearProgram, x: np.ndarray) -> LpacSolution:

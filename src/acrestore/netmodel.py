@@ -3,15 +3,15 @@
 The supported case format is a subset of the MATPOWER-style text layout
 (bus/gen/branch/gencost tables). All power quantities are converted to
 per-unit on the system MVA base at parse time. Networks are immutable
-after construction and safe to share between workers.
+after construction; the LPAC LPs of one topology share a solver (see lpac).
 
 A network's topology is everything but its loads. `Network.with_loads`
 copies a network for one load scenario without validating or deriving the
 topology again: the copy shares its parent's read-only topology arrays and
 one per-topology store, where `per_topology` keeps values that depend only
 on the topology and the loads it was built with, `case_loads` (the
-canonical measurement layout, the bus pairs, the LPAC model, the case's
-own dispatch power flow), for every copy to reuse.
+measurement layout, bus types, Newton indices, merit-order grid, the LPAC
+model and its solver, the case's own power flow), for every copy to reuse.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import importlib.resources
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -292,8 +292,9 @@ class Network:
 
         The copy equals `Network(base_mva, buses, branches, generators,
         name)` built from its buses, but shares this network's validated
-        topology: its derived arrays and its per-topology store. Raises
-        ValueError unless each load vector has one finite entry per bus.
+        topology, derived arrays and per-topology store; its buses are copied
+        with the new loads, not validated again. Raises ValueError unless
+        each load vector has one finite entry per bus.
         """
         loads = {}
         for name, values in (("p_load", p_load), ("q_load", q_load)):
@@ -306,10 +307,9 @@ class Network:
             if bad.size:
                 raise ValueError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
             loads[name] = values
-        buses = tuple(
-            replace(b, p_load=p, q_load=q)
-            for b, p, q in zip(self.buses, loads["p_load"].tolist(), loads["q_load"].tolist())
-        )
+        buses = tuple(object.__new__(Bus) for _ in self.buses)
+        for bus, b, p, q in zip(buses, self.buses, *(v.tolist() for v in loads.values())):
+            vars(bus).update(vars(b), p_load=p, q_load=q)
         copy = object.__new__(Network)
         # every field but the loads, and no cached case hash
         state = {k: v for k, v in vars(self).items() if k != "case_hash"}
@@ -326,7 +326,7 @@ class Network:
     def per_topology(self, key, build):
         """The value stored under key for this network's topology, made by
         build() on first use. Every `with_loads` copy shares the store, so
-        build() must depend on nothing but the topology and `case_loads`."""
+        build() must depend only on the topology, `case_loads` and key."""
         store = self._topology
         if key not in store:
             store.setdefault(key, build())

@@ -102,6 +102,30 @@ def proportional_dispatch(network: Network) -> np.ndarray:
     return mins + t * (caps - mins)
 
 
+def _merit_order(network: Network) -> tuple:
+    """economic_dispatch's merit-order grid per topology: the unit bounds and
+    their sums; at each breakpoint the outputs below it, the fleet's at it,
+    and the residual's weights above and below, each with its sum."""
+    mins, caps, c1, c2 = (
+        np.array([getattr(g, name) for g in network.generators])
+        for name in ("p_min", "p_max", "c1", "c2")
+    )
+    quadratic = c2 > 0
+    curvature = np.where(quadratic, 2.0 * c2, 1.0)
+    floor, ceiling = c1 + 2.0 * c2 * mins, c1 + 2.0 * c2 * caps
+    points = np.unique(np.concatenate([floor, ceiling]))
+    grid = points[:, None]
+    # output just below each breakpoint, and at it, where linear units step up
+    below = np.clip(
+        np.where(quadratic, (grid - c1) / curvature, np.where(grid > c1, caps, mins)), mins, caps
+    )
+    at = np.where(~quadratic & (grid == c1), caps, below)
+    up = np.where(~quadratic & (c1 == grid), caps - mins, 0.0)
+    down = np.where(quadratic & (floor < grid) & (grid <= ceiling), 1.0 / curvature, 0.0)
+    return (mins, caps, (mins.sum(), caps.sum()), below, below.sum(axis=1), at.sum(axis=1),
+            (up, up.sum(axis=1)), (down, down.sum(axis=1)))
+
+
 def economic_dispatch(network: Network) -> np.ndarray:
     """Equal-marginal-cost dispatch meeting total load inside unit bounds.
 
@@ -115,32 +139,16 @@ def economic_dispatch(network: Network) -> np.ndarray:
     linear units share the residual in proportion to p_max - p_min. Network
     limits are not considered; the slack absorbs losses.
     """
-    mins, caps, c1, c2 = (
-        np.array([getattr(g, name) for g in network.generators])
-        for name in ("p_min", "p_max", "c1", "c2")
-    )
-    target = float(np.clip(network.p_load.sum(), mins.sum(), caps.sum()))
-    quadratic = c2 > 0
-    curvature = np.where(quadratic, 2.0 * c2, 1.0)
-    floor, ceiling = c1 + 2.0 * c2 * mins, c1 + 2.0 * c2 * caps
-    points = np.unique(np.concatenate([floor, ceiling]))
-    grid = points[:, None]
-    # output just below each breakpoint, and at it, where linear units step up
-    below = np.clip(
-        np.where(quadratic, (grid - c1) / curvature, np.where(grid > c1, caps, mins)), mins, caps
-    )
-    at = np.where(~quadratic & (grid == c1), caps, below)
+    mins, caps, fleet, below, below_sum, at_sum, up, down = network.per_topology(
+        "merit_order", lambda: _merit_order(network))
+    target = float(np.clip(network.p_load.sum(), *fleet))
     # rounding may leave the fleet's top just short of a target at full capacity
-    k = min(int(np.searchsorted(at.sum(axis=1), target)), points.size - 1)
-    price, p = points[k], below[k]
-    gap = target - p.sum()
-    if gap > 0:
-        weight = np.where(~quadratic & (c1 == price), caps - mins, 0.0)
-    else:
-        weight = np.where(quadratic & (floor < price) & (price <= ceiling), 1.0 / curvature, 0.0)
-    if weight.sum() > 0:
-        p = np.clip(p + gap * weight / weight.sum(), mins, caps)
-    return p
+    k = min(int(np.searchsorted(at_sum, target)), at_sum.size - 1)
+    gap = target - below_sum[k]
+    weight, total = up if gap > 0 else down
+    if total[k] > 0:
+        return np.clip(below[k] + gap * weight[k] / total[k], mins, caps)
+    return below[k].copy()
 
 
 def dispatch_spec(network: Network, p_gen: np.ndarray | None = None) -> PfSpec:

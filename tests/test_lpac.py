@@ -13,7 +13,7 @@ import scipy.optimize
 import scipy.sparse
 
 import acrestore
-from acrestore import Network, load_bundled_case
+from acrestore import Network, acpf, lpac, load_bundled_case, netmodel, scenarios
 from acrestore.acpf import compile_layout
 from acrestore.lpac import (
     InfeasibleError,
@@ -22,6 +22,7 @@ from acrestore.lpac import (
     SimplexError,
     UnboundedError,
     _build_model,
+    _run_highs,
     build_lpac,
     cosine_cuts,
     extract_solution,
@@ -31,7 +32,7 @@ from acrestore.lpac import (
     verify_certificates,
     write_lp_text,
 )
-from acrestore.scenarios import ScenarioSpec, gen_load_scenarios
+from acrestore.scenarios import ScenarioSpec, gen_load_scenarios, ground_truth_states
 from conftest import FIXTURE_NAMES
 
 # Optimal objectives of build_lpac(case5) and build_lpac(case14), recorded
@@ -250,8 +251,10 @@ def test_simplex_errors_name_the_highs_status(error, status):
         SimplexError: array_lp([(0.0, math.inf, 1.0)], [({0: 1.0}, GE, 1.0)]),
     }
     # HiGHS refuses a column whose lower bound is +inf; construction refuses
-    # it too, so it is written into the LP's array afterwards
-    lps[SimplexError].lower[0] = math.inf
+    # it too and makes the array read-only, so it is written afterwards
+    lower = lps[SimplexError].lower
+    lower.flags.writeable = True
+    lower[0] = math.inf
     with pytest.raises(SimplexError, match=f"HiGHS model status: {status}$") as info:
         simplex_solve(lps[error], max_iter=1 if error is IterationLimitError else None)
     assert type(info.value) is error
@@ -298,6 +301,14 @@ def test_linear_program_rejects_malformed_arrays():
     for name, value in malformed:
         with pytest.raises(ValueError, match="^LP"):
             dataclasses.replace(lp, **{name: value})
+
+
+def test_constructed_lp_arrays_are_read_only():
+    lp = tight_lp()
+    for array in (lp.a_mat.data, lp.a_mat.indices, lp.a_mat.indptr, lp.c_vec, lp.lower,
+                  lp.upper, lp.row_lo, lp.row_hi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_lp_text_refuses_a_ranged_row():
@@ -703,8 +714,9 @@ def test_scenario_lps_share_the_read_only_model(case14):
         assert mine is theirs
         with pytest.raises(ValueError, match="read-only"):
             mine[0] = 1
+    # each LP has row bounds of its own, read-only like every LP's arrays
     assert not np.shares_memory(first.row_lo, second.row_lo)
-    assert first.row_lo.flags.writeable and first.row_hi.flags.writeable
+    assert not (first.row_lo.flags.writeable or first.row_hi.flags.writeable)
     assert build_lpac(scen[0], v_tiebreak=0).a_mat is not first.a_mat
 
 
@@ -751,11 +763,11 @@ def test_simplex_matches_linprog_to_the_bit(all_fixtures, name, count, v_tiebrea
         assert np.array_equal(mine.x, x)
         assert np.array_equal(mine.duals, duals)
         assert np.array_equal(mine.objective, objective)
-        assert mine.iterations == iterations
+        assert mine.iterations == iterations and not mine.warm
         if k == 0:
             warm = simplex_solve(build_lpac(net, *settings))
             assert np.array_equal(warm.x, x) and np.array_equal(warm.duals, duals)
-            assert warm.iterations == 0
+            assert warm.iterations == 0 and warm.warm
 
 
 @pytest.mark.parametrize("name,count", [("case5", 6), ("case14", 6), ("case57", 3),
@@ -789,20 +801,89 @@ def test_failed_start_basis_leaves_the_solve_cold(case5):
     mine = simplex_solve(lp)
     x, duals, _objective, iterations = linprog_highs_ds(lp)
     assert np.array_equal(mine.x, x) and np.array_equal(mine.duals, duals)
-    assert mine.iterations == iterations > 0
+    assert mine.iterations == iterations > 0 and not mine.warm
 
 
-def test_scenario_solve_does_not_depend_on_earlier_solves(case14):
-    loads = gen_load_scenarios(case14, ScenarioSpec(count=6, seed=0))
-    k = 3
-    # a freshly loaded case shares no per-topology store with the fixture
-    alone = simplex_solve(build_lpac(load_bundled_case("case14").with_loads(*loads[k])))
-    for other in loads[:k] + loads[k + 1:]:
-        simplex_solve(build_lpac(case14.with_loads(*other)))
-    after = simplex_solve(build_lpac(case14.with_loads(*loads[k])))
-    assert np.array_equal(alone.x, after.x)
-    assert np.array_equal(alone.duals, after.duals)
-    assert alone.iterations == after.iterations
+def assert_same_solve(mine, ref):
+    assert np.array_equal(mine.x, ref.x)
+    assert np.array_equal(mine.duals, ref.duals)
+    assert mine.iterations == ref.iterations
+
+
+def test_scenario_solve_does_not_depend_on_earlier_solves(all_fixtures):
+    # the LPs of one model share its HiGHS solver: whatever that solver ran
+    # before (other scenarios in any order, a cold solve of the model, a
+    # solve cut short by max_iter) must not show in a scenario's result
+    rng = np.random.default_rng(0)
+    for name in ("case14", "case57"):
+        network = all_fixtures[name]
+        loads = gen_load_scenarios(network, ScenarioSpec(count=6, seed=0))
+        # each reference on a freshly loaded case, whose solver solved nothing
+        alone = [simplex_solve(build_lpac(load_bundled_case(name).with_loads(*pair)))
+                 for pair in loads]
+        k = int(np.argmax([ref.iterations for ref in alone]))
+        assert alone[k].iterations > 0, "max_iter=0 must cut scenario k short"
+        lp = build_lpac(network.with_loads(*loads[k]))
+        model = stored_model(network)
+        cold = simplex_solve(dataclasses.replace(model))  # on a solver of its own
+
+        def others():
+            for j in rng.permutation(len(loads)):
+                if j != k:
+                    assert_same_solve(simplex_solve(build_lpac(network.with_loads(*loads[j]))),
+                                      alone[j])
+
+        def cold_solve():
+            solver, status = _run_highs(model, model.row_lo, model.row_hi)
+            assert status.name == "kOptimal"
+            assert np.array_equal(solver.getSolution().col_value, cold.x)
+            assert solver.getInfo().simplex_iteration_count == cold.iterations
+
+        def cut_short():
+            with pytest.raises(IterationLimitError):
+                simplex_solve(lp, max_iter=0)
+
+        for earlier in (others, cold_solve, others, cut_short, others):
+            earlier()
+            assert_same_solve(simplex_solve(lp), alone[k])
+
+
+def test_topology_work_is_built_once(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((_core, "_Highs"), (scenarios, "_merit_order"),
+                        (acpf, "_newton_index"), (acpf, "_generator_bus_types")):
+        count(owner, name)
+    replaced = []
+    real_replace = dataclasses.replace
+
+    def replace(obj, **changes):
+        replaced.append(type(obj))
+        return real_replace(obj, **changes)
+    for module in (dataclasses, netmodel, scenarios, acpf, lpac):
+        if hasattr(module, "replace"):
+            monkeypatch.setattr(module, "replace", replace)
+
+    network = load_bundled_case("case14")
+    loads = gen_load_scenarios(network, ScenarioSpec(count=16, seed=2))
+    assert all(ground_truth_states(network, loads))
+    for pair in loads:
+        assert verify_certificates(simplex_solve(build_lpac(network.with_loads(*pair))))["ok"]
+    # one solver for the one model; one merit-order grid, one set of bus
+    # types and one Newton index (one bus-type tuple) for the one topology
+    assert calls == {"_Highs": 1, "_merit_order": 1, "_newton_index": 1,
+                     "_generator_bus_types": 1}
+    assert set(replaced) == {LinearProgram}  # build_lpac's, never a Bus
 
 
 def test_simplex_matches_linprog_to_the_bit_on_random_lps():
@@ -823,5 +904,6 @@ def test_simplex_matches_linprog_to_the_bit_on_random_lps():
         x, duals, objective, iterations = linprog_highs_ds(lp)
         assert np.array_equal(mine.x, x) and np.array_equal(mine.duals, duals)
         assert np.array_equal(mine.objective, objective) and mine.iterations == iterations
+        assert not mine.warm
         counts.append(iterations)
     assert len(counts) > 15 and 0 in counts and max(counts) > 0
