@@ -10,7 +10,6 @@ split. Failures exit nonzero with a machine-parseable category on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -81,19 +80,51 @@ def categorize(exc: Exception) -> str:
     return "internal"
 
 
-def _load_network(args):
-    return load_case(args.case)
+def _method(name, network, kinds, weights, tol, echo=False):
+    """`state(net, z)` of one restoration method, built once per layout `kinds`.
 
+    raw takes every bus's magnitude and angle verbatim, wherever their rows
+    lie, and is None when the layout lacks one; benchmark is
+    `benchmark_restore` on `net`; wls uses the initial weights, or those of
+    the weight file `weights`, whose layout must be `kinds`. With `echo`,
+    wls prints each restoration's iterations and objective.
+    """
+    if name == "raw":
+        row = {(k.kind, k.index): i for i, k in enumerate(kinds)}
+        try:
+            vm_rows = [row["vm", bus] for bus in range(network.n_bus)]
+            va_rows = [row["va", bus] for bus in range(network.n_bus)]
+        except KeyError:
+            return None
 
-def _state_from_solution(network, sol: fileio.SolutionFile) -> StateVector:
-    if sol.va is None:
-        raise fileio.FormatError("solution has no angles; cannot take it verbatim")
-    va = np.asarray(sol.va) - sol.va[network.slack]
-    return StateVector(np.asarray(sol.vm), va, network.slack)
+        def raw(net, z):
+            va = z.values[va_rows]
+            return StateVector(z.values[vm_rows], va - va[net.slack], net.slack)
+
+        return raw
+    if name == "benchmark":
+        return lambda net, z: benchmark_restore(net, z).state
+    if weights is None:
+        w = default_initial_weights(kinds)
+    else:
+        layout, w = fileio.read_weights(weights, network)
+        if layout != kinds:
+            raise fileio.FormatError(f"{weights}: weight layout does not match the measurements")
+
+    def wls(net, z):
+        result = wls_restore(net, z, w, tol=tol)
+        if not result.converged:
+            raise PowerFlowError(f"restoration did not converge in {result.iterations} iterations")
+        if echo:
+            print(f"restored in {result.iterations} iterations, "
+                  f"objective {result.objective:.6g}")
+        return result.state
+
+    return wls
 
 
 def cmd_parse(args) -> int:
-    network = _load_network(args)
+    network = load_case(args.case)
     print(
         f"{network.name}: {network.n_bus} buses, {network.n_branch} branches, "
         f"{network.n_gen} generators, base {network.base_mva:g} MVA, "
@@ -109,7 +140,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_pf(args) -> int:
-    network = _load_network(args)
+    network = load_case(args.case)
     state = newton_pf(network, dispatch_spec(network), tol=args.tol)
     op = operating_point(network, state)
     report = constraint_report(network, op)
@@ -123,7 +154,7 @@ def cmd_pf(args) -> int:
 
 
 def cmd_lpac(args) -> int:
-    network = _load_network(args)
+    network = load_case(args.case)
     lp = build_lpac(network, args.tangents, args.circle_cuts, args.cost_segments)
     if args.export_lp:
         fileio.atomic_write_text(args.export_lp, write_lp_text(lp))
@@ -157,7 +188,7 @@ def cmd_lpac(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    network = _load_network(args)
+    network = load_case(args.case)
     spec = ScenarioSpec(
         count=args.count,
         sigma=args.sigma,
@@ -194,73 +225,40 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
-def _restore_one(network, sol: fileio.SolutionFile, args):
-    z = fileio.solution_to_measurements(network, sol)
-    if args.method == "raw":
-        state = _state_from_solution(network, sol)
-        return operating_point(network, state)
-    if args.method == "benchmark":
-        return benchmark_restore(network, z)
-    if args.weights == "init":
-        weights = default_initial_weights(z.kinds)
-    else:
-        kinds, weights = fileio.read_weights(args.weights, network)
-        if kinds != z.kinds:
-            raise fileio.FormatError(
-                "weight layout does not match the solution's measurements"
-            )
-    result = wls_restore(network, z, weights, tol=args.tol)
-    if not result.converged:
-        raise PowerFlowError(
-            f"restoration did not converge in {result.iterations} iterations"
-        )
-    print(
-        f"restored in {result.iterations} iterations, objective {result.objective:.6g}"
-    )
-    return operating_point(network, result.state)
-
-
 def cmd_restore(args) -> int:
-    network = _load_network(args)
+    network = load_case(args.case)
     if bool(args.solution) == bool(args.solutions):
         raise fileio.FormatError("give exactly one of --solution or --solutions")
     if args.solution:
-        sol = fileio.read_solution(args.solution, network)
-        op = _restore_one(network, sol, args)
-        report = constraint_report(network, op)
-        print(f"max constraint violation: {report.max_violation():.4g} p.u.")
+        pairs = [(args.solution, args.out)]
+    else:
+        names = sorted(name for name in os.listdir(args.solutions) if name.endswith(".json"))
+        if not names:
+            raise fileio.FormatError(f"{args.solutions}: no solution files found")
         if args.out:
-            fileio.write_solution(
-                args.out,
-                network,
-                fileio.operating_point_solution(network, op, f"restored-{args.method}"),
-            )
-            print(f"operating point written to {args.out}")
-        return 0
-    # batch mode: restore every solution file in the directory
-    names = sorted(
-        name for name in os.listdir(args.solutions) if name.endswith(".json")
-    )
-    if not names:
-        raise fileio.FormatError(f"{args.solutions}: no solution files found")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    for name in names:
-        sol = fileio.read_solution(os.path.join(args.solutions, name), network)
-        op = _restore_one(network, sol, args)
+            os.makedirs(args.out, exist_ok=True)
+        pairs = [(os.path.join(args.solutions, name),
+                  args.out and os.path.join(args.out, name)) for name in names]
+    weights = None if args.weights == "init" else args.weights
+    kinds = state = None
+    for path, out in pairs:
+        z = fileio.solution_to_measurements(network, fileio.read_solution(path, network))
+        if z.kinds != kinds:
+            kinds = z.kinds
+            state = _method(args.method, network, kinds, weights, args.tol, echo=True)
+        if state is None:
+            raise fileio.FormatError(f"{path}: raw needs every bus's vm and va")
+        op = operating_point(network, state(network, z))
         report = constraint_report(network, op)
-        print(f"{name}: max violation {report.max_violation():.4g} p.u.")
-        if args.out:
-            fileio.write_solution(
-                os.path.join(args.out, name),
-                network,
-                fileio.operating_point_solution(network, op, f"restored-{args.method}"),
-            )
+        print(f"{os.path.basename(path)}: max violation {report.max_violation():.4g} p.u.")
+        if out:
+            restored = fileio.operating_point_solution(network, op, f"restored-{args.method}")
+            fileio.write_solution(out, network, restored)
     return 0
 
 
 def cmd_train(args) -> int:
-    network = _load_network(args)
+    network = load_case(args.case)
     _, train_recs, _, _ = fileio.read_dataset(args.data, network)
     if not train_recs:
         raise TrainingError("dataset has no training records")
@@ -284,82 +282,51 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _timed_states(stable_fn, records):
-    states, elapsed = [], []
-    for rec in records:
+def _method_entry(network, records, state):
+    """Loss, times and worst violations of `state(net, z)` over the records.
+
+    Each record is restored on its scenario's network. Only the restorations
+    are timed, back to back, not the network copies or the reports.
+    """
+    nets = [network.with_loads(rec.p_load, rec.q_load) for rec in records]
+    states, times = [], []
+    for rec, net in zip(records, nets):
         start = time.perf_counter()
-        states.append(stable_fn(rec))
-        elapsed.append(time.perf_counter() - start)
-    return states, (float(np.mean(elapsed)) if elapsed else 0.0), elapsed
-
-
-def _method_entry(network, records, states, mean_time, times):
-    worst = 0.0
-    families = {"voltage": 0.0, "generator": 0.0, "flow": 0.0, "angle": 0.0}
-    for rec, state in zip(records, states):
-        scen_net = network.with_loads(rec.p_load, rec.q_load)
-        report = constraint_report(scen_net, operating_point(scen_net, state))
-        worst = max(worst, report.max_violation())
-        for family in families:
-            families[family] = max(families[family], getattr(report, family))
+        states.append(state(net, rec.z))
+        times.append(time.perf_counter() - start)
+    reports = [constraint_report(net, operating_point(net, x)) for net, x in zip(nets, states)]
     return {
         "loss": loss(records, states),
-        "mean_time_s": mean_time,
+        "mean_time_s": float(np.mean(times)),
         "times_s": [round(t, 9) for t in times],
-        "violations": {"max": worst, **families},
+        "violations": {
+            "max": max(0.0, *(report.max_violation() for report in reports)),
+            **{family: max(0.0, *(getattr(report, family) for report in reports))
+               for family in ("voltage", "generator", "flow", "angle")},
+        },
     }
 
 
 def cmd_eval(args) -> int:
-    network = _load_network(args)
+    network = load_case(args.case)
     _, _, test_recs, manifest = fileio.read_dataset(args.data, network)
     if not test_recs:
         raise TrainingError("dataset has no test records")
     layout = test_recs[0].z.kinds
-    methods: dict = {}
 
-    # raw takes every bus's magnitude and angle verbatim, wherever their rows lie
-    row = {(k.kind, k.index): i for i, k in enumerate(layout)}
-    buses = range(network.n_bus)
-    if all((kind, bus) in row for kind in ("vm", "va") for bus in buses):
-        vm_rows = [row["vm", bus] for bus in buses]
-        va_rows = [row["va", bus] for bus in buses]
+    def evaluate(name, weights):
+        state = _method(name, network, layout, weights, args.tol)
+        return None if state is None else _method_entry(network, test_recs, state)
 
-        def raw_state(rec):
-            va = rec.z.values[va_rows]
-            return StateVector(rec.z.values[vm_rows], va - va[network.slack], network.slack)
-
-        states, mean_time, times = _timed_states(raw_state, test_recs)
-        methods["raw"] = _method_entry(network, test_recs, states, mean_time, times)
-
-    def bench_state(rec):
-        scen_net = network.with_loads(rec.p_load, rec.q_load)
-        return benchmark_restore(scen_net, rec.z).state
-
-    states, mean_time, times = _timed_states(bench_state, test_recs)
-    methods["benchmark"] = _method_entry(network, test_recs, states, mean_time, times)
-
-    def wls_method(weights):
-        def fn(rec):
-            result = wls_restore(network, rec.z, weights, tol=args.tol)
-            if not result.converged:
-                raise PowerFlowError(f"restoration diverged on record {rec.index}")
-            return result.state
-
-        return fn
-
-    w_init = default_initial_weights(layout)
-    states, mean_time, times = _timed_states(wls_method(w_init), test_recs)
-    methods["wls-init"] = _method_entry(network, test_recs, states, mean_time, times)
-
+    runs = {"raw": ("raw", None), "benchmark": ("benchmark", None),
+            "wls-init": ("wls", None)}
     if args.weights:
-        kinds, w_opt = fileio.read_weights(args.weights, network)
-        if kinds != layout:
-            raise fileio.FormatError("weight layout does not match the dataset")
-        states, mean_time, times = _timed_states(wls_method(w_opt), test_recs)
-        methods["wls-trained"] = _method_entry(
-            network, test_recs, states, mean_time, times
-        )
+        runs["wls-trained"] = ("wls", args.weights)
+    methods = {}
+    for label, (name, weights) in runs.items():
+        result = evaluate(name, weights)
+        if result is not None:  # raw runs only where every bus's vm and va are measured
+            methods[label] = result
 
     report = {
         "methods": methods,
@@ -372,11 +339,11 @@ def cmd_eval(args) -> int:
         os.path.join(args.out, "report.tsv"),
         report,
     )
-    for method, entry in methods.items():
+    for label, result in methods.items():
         print(
-            f"{method:12s} loss {entry['loss']:.6g}  "
-            f"mean {entry['mean_time_s'] * 1e3:.2f} ms/scenario  "
-            f"max violation {entry['violations']['max']:.3g}"
+            f"{label:12s} loss {result['loss']:.6g}  "
+            f"mean {result['mean_time_s'] * 1e3:.2f} ms/scenario  "
+            f"max violation {result['violations']['max']:.3g}"
         )
     if "wls-trained" in methods:
         trained = methods["wls-trained"]["loss"]
@@ -387,19 +354,19 @@ def cmd_eval(args) -> int:
         print(f"loss ratio  {ratios}")
 
     if args.curve:
-        points = []
-        for item in args.curve:
-            count_text, _, weight_path = item.partition(":")
-            kinds, w_curve = fileio.read_weights(weight_path, network)
-            if kinds != layout:
-                raise fileio.FormatError(f"{weight_path}: layout mismatch")
-            states = [wls_method(w_curve)(rec) for rec in test_recs]
-            points.append((int(count_text), loss(test_recs, states)))
-        points.sort()
+        points = sorted((count, evaluate("wls", path)["loss"]) for count, path in args.curve)
         fileio.write_curve(os.path.join(args.out, "curve.tsv"), points)
         print(f"curve with {len(points)} points written to {args.out}/curve.tsv")
     print(f"report written to {args.out}")
     return 0
+
+
+def _curve_point(text: str) -> tuple[int, str]:
+    """One --curve item, COUNT:WEIGHTFILE, as (count, weight file)."""
+    count, _, path = text.partition(":")
+    if not (count.isdecimal() and path):
+        raise argparse.ArgumentTypeError(f"{text!r} is not COUNT:WEIGHTFILE")
+    return int(count), path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--curve",
         action="append",
+        type=_curve_point,
         help="COUNT:WEIGHTFILE pair for the loss-vs-training-scenarios curve "
         "(repeatable)",
     )

@@ -27,7 +27,7 @@ from .acpf import (
     compile_layout,
 )
 from .netmodel import Network
-from .train import ScenarioRecord
+from .train import ScenarioRecord, check_layout
 from .wls import check_weights
 
 SOLUTION_SCHEMA = "acrestore-solution/1"
@@ -306,21 +306,11 @@ def state_to_json(state: StateVector) -> dict:
     return {"vm": state.vm.tolist(), "va": state.va.tolist()}
 
 
-def state_from_json(item: dict, slack: int) -> StateVector:
-    return StateVector(
-        np.asarray(item["vm"], dtype=float),
-        np.asarray(item["va"], dtype=float),
-        slack,
-    )
-
-
 def write_dataset(root, network: Network, records, train_idx, test_idx, meta: dict):
     """Manifest plus one record file per scenario under `root`."""
+    layout = check_layout(records)
     root = os.fspath(root)
     os.makedirs(os.path.join(root, "records"), exist_ok=True)
-    if not records:
-        raise ValueError("refusing to write an empty dataset")
-    layout = records[0].z.kinds
     names = []
     for rec in records:
         name = f"records/s{rec.index:05d}.json"
@@ -350,6 +340,35 @@ def write_dataset(root, network: Network, records, train_idx, test_idx, meta: di
     write_json(os.path.join(root, "manifest.json"), manifest)
 
 
+def _read_record(path, network: Network, kinds) -> ScenarioRecord:
+    """One record file of a dataset whose measurement layout is `kinds`."""
+    payload = read_json(path, RECORD_SCHEMA)
+
+    def per_bus(group, keys, what):
+        arrays = [np.asarray(require(group, key, path), dtype=float) for key in keys]
+        if any(a.shape != (network.n_bus,) for a in arrays):
+            raise FormatError(f"{path}: {what} need {network.n_bus} entries each")
+        return arrays
+
+    p_load, q_load = per_bus(payload, ("p_load", "q_load"), "p_load and q_load")
+    vm, va = per_bus(require(payload, "x_ac", path), ("vm", "va"), "x_ac vm and va")
+    z = np.asarray(require(payload, "z", path), dtype=float)
+    if z.shape != (len(kinds),):
+        raise FormatError(f"{path}: z has {z.size} values, the layout {len(kinds)} entries")
+    try:
+        x_ac = StateVector(vm, va, network.slack)
+    except ValueError as exc:
+        raise FormatError(f"{path}: x_ac: {exc}") from exc
+    return ScenarioRecord(
+        p_load=p_load,
+        q_load=q_load,
+        x_ac=x_ac,
+        z=MeasurementSet(kinds, z),
+        source_tag=str(payload.get("source", "unknown")),
+        index=int(require(payload, "index", path)),
+    )
+
+
 def read_dataset(root, network: Network):
     """Returns (records, train_records, test_records, manifest)."""
     root = os.fspath(root)
@@ -358,25 +377,8 @@ def read_dataset(root, network: Network):
     check_network_hash(manifest, network, root)
     kinds = layout_from_json(network, require(manifest, "layout", manifest_path))
     compile_layout(network, kinds)  # one shared layout, validated once
-    records = []
-    for name in require(manifest, "records", manifest_path):
-        path = os.path.join(root, name)
-        payload = read_json(path, RECORD_SCHEMA)
-        z = MeasurementSet(kinds, np.asarray(require(payload, "z", path), dtype=float))
-        p_load, q_load = (np.asarray(require(payload, key, path), dtype=float)
-                          for key in ("p_load", "q_load"))
-        if p_load.shape != (network.n_bus,) or q_load.shape != (network.n_bus,):
-            raise FormatError(f"{path}: p_load and q_load need {network.n_bus} entries each")
-        records.append(
-            ScenarioRecord(
-                p_load=p_load,
-                q_load=q_load,
-                x_ac=state_from_json(require(payload, "x_ac", path), network.slack),
-                z=z,
-                source_tag=str(payload.get("source", "unknown")),
-                index=int(require(payload, "index", path)),
-            )
-        )
+    records = [_read_record(os.path.join(root, name), network, kinds)
+               for name in require(manifest, "records", manifest_path)]
     by_index = {rec.index: rec for rec in records}
     try:
         train = [by_index[i] for i in require(manifest, "train_indices", manifest_path)]

@@ -269,3 +269,80 @@ def test_restore_rejects_wrong_network(tmp_path, capsys):
         "restore", "--case", str(case14_path), "--solution", str(pf_out)
     ) == 1
     assert "ERROR file-format" in capsys.readouterr().err
+
+
+def case5_dataset(case_path, path):
+    assert run("scenarios", "--case", case_path, "--count", "4", "--seed", "7",
+               "--source", "synthetic", "--out", str(path)) == 0
+    return path
+
+
+def slack_angle(x_ac, slack):
+    va = list(x_ac["va"])
+    va[slack] = 0.1
+    return {"vm": x_ac["vm"], "va": va}
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("z", lambda z, slack: z[:-1]),
+    ("x_ac", lambda x, slack: {"vm": x["vm"][:-1], "va": x["va"][:-1]}),
+    ("x_ac", lambda x, slack: {"vm": x["vm"][:-1], "va": x["va"]}),
+    ("x_ac", slack_angle),
+], ids=["short-z", "x_ac-four-buses", "x_ac-short-vm", "x_ac-slack-angle"])
+def test_malformed_record_is_a_file_format_error(case_path, tmp_path, capsys, key, edit):
+    data = case5_dataset(case_path, tmp_path / "ds")
+    record = data / "records" / "s00001.json"
+    payload = json.loads(record.read_text())
+    payload[key] = edit(payload[key], load_bundled_case("case5").slack)
+    record.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("train", "--case", case_path, "--data", str(data), "--iters", "1",
+               "--out", str(tmp_path / "w.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR file-format:") and "s00001.json" in err, err
+
+
+def test_eval_malformed_curve_item_is_a_usage_error(case_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("eval", "--case", case_path, "--data", str(tmp_path / "absent"),
+            "--out", str(tmp_path / "rep"), "--curve", "x:w.json")
+    assert exit_info.value.code == 2
+    assert "'x:w.json' is not COUNT:WEIGHTFILE" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_restore_raw_needs_angles(case_path, tmp_path, capsys):
+    net = load_bundled_case("case5")
+    path = tmp_path / "no-angles.json"
+    fileio.write_solution(path, net, fileio.SolutionFile(formulation="flat", vm=np.ones(5)))
+    assert run("restore", "--case", case_path, "--solution", str(path),
+               "--method", "raw") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR file-format:") and "no-angles.json" in err, err
+
+
+def test_restore_rejects_weights_of_another_layout(case_path, tmp_path, capsys):
+    pf_out = tmp_path / "pf.json"
+    run("pf", "--case", case_path, "--out", str(pf_out))
+    net = load_bundled_case("case5")
+    kinds = fileio.solution_to_measurements(net, fileio.read_solution(pf_out, net)).kinds
+    weights = tmp_path / "w.json"
+    fileio.write_weights(weights, net, kinds[::-1], np.ones(len(kinds)))
+    capsys.readouterr()
+    assert run("restore", "--case", case_path, "--solution", str(pf_out),
+               "--weights", str(weights)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR file-format:") and "weight layout" in err, err
+
+
+@pytest.mark.parametrize("method", ["raw", "benchmark", "wls"])
+def test_restore_single_file_matches_batch(case_path, tmp_path, method):
+    sol_dir = tmp_path / "sols"
+    sol_dir.mkdir()
+    run("lpac", "--case", case_path, "--out", str(sol_dir / "lpac.json"))
+    single = tmp_path / "single.json"
+    assert run("restore", "--case", case_path, "--solution", str(sol_dir / "lpac.json"),
+               "--method", method, "--out", str(single)) == 0
+    assert run("restore", "--case", case_path, "--solutions", str(sol_dir),
+               "--method", method, "--out", str(tmp_path / "batch")) == 0
+    assert single.read_bytes() == (tmp_path / "batch" / "lpac.json").read_bytes()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -217,6 +218,15 @@ def test_malformed_dataset_is_a_format_error(case5, tmp_path, file, key, edit, m
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=message):
         read_dataset(root, case5)
+
+
+def test_write_dataset_refuses_records_with_different_layouts(case5, tmp_path):
+    loads = gen_load_scenarios(case5, ScenarioSpec(count=2, sigma=0.05, seed=3))
+    records = synth_dataset(case5, loads, seed=4)
+    keep = np.random.default_rng(0).permutation(records[1].z.m)
+    records[1] = dataclasses.replace(records[1], z=records[1].z.subset(keep))
+    with pytest.raises(ValueError, match="record 1: measurement layout differs"):
+        write_dataset(tmp_path / "ds", case5, records, [0], [1], {"source": "synthetic"})
 
 
 def test_trace_roundtrip(tmp_path):

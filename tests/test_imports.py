@@ -1,0 +1,48 @@
+"""No module of the package imports a name it never uses.
+
+No linter ships with the test environment, so this walks each module's
+syntax tree. A line marked `# noqa: F401` may import a name it does not
+use (perfbench's tracer rebinds such names by module attribute).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "acrestore"
+
+
+def unused_imports(path: Path) -> list[str]:
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__ count as used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path) == []
+
+
+def test_check_finds_an_unused_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import json\nimport os  # noqa: F401\nimport sys\n\nprint(sys.argv)\n")
+    assert unused_imports(module) == ["module.py:1: json"]
