@@ -656,6 +656,15 @@ def operating_point(network: Network, state: StateVector) -> OperatingPoint:
     return OperatingPoint(state, s_inj.real, s_inj.imag, flows, p_gen, q_gen)
 
 
+def benchmark_missing(network: Network, kinds) -> list[str]:
+    """The rows `benchmark_restore` needs that the layout `kinds` lacks, by
+    bus id: vm of every generator bus and pinj of every non-slack one."""
+    have = {(k.kind, k.index) for k in kinds}
+    return [f"{kind}[bus {network.buses[bus].id}]" for bus in network.gen_buses().tolist()
+            for kind in ("vm", "pinj")
+            if (kind, bus) not in have and (kind == "vm" or bus != network.slack)]
+
+
 def benchmark_restore(network: Network, z: MeasurementSet) -> OperatingPoint:
     """Restore by fixing generator-bus voltage magnitudes and non-slack
     generator active injections from z, then solving a power flow.
@@ -665,21 +674,12 @@ def benchmark_restore(network: Network, z: MeasurementSet) -> OperatingPoint:
     generator bus.
     """
     compile_layout(network, z.kinds)
+    missing = benchmark_missing(network, z.kinds)
+    if missing:
+        raise MeasurementError("benchmark restoration needs " + ", ".join(missing))
     table = {(k.kind, k.index): value for k, value in zip(z.kinds, z.values)}
     gen_buses = network.gen_buses().tolist()
     pv_buses = [bus for bus in gen_buses if bus != network.slack]
-
-    missing = [
-        f"{kind}[bus {network.buses[bus].id}]"
-        for bus in gen_buses
-        for kind in ("vm", "pinj")
-        if (kind, bus) not in table and (kind == "vm" or bus != network.slack)
-    ]
-    if missing:
-        raise MeasurementError(
-            "benchmark restoration needs " + ", ".join(missing)
-        )
-
     vm_set = np.ones(network.n_bus)
     vm_set[gen_buses] = [table[("vm", bus)] for bus in gen_buses]
     p_set = np.zeros(network.n_bus)

@@ -22,6 +22,7 @@ from .acpf import (
     MeasurementError,
     PowerFlowError,
     StateVector,
+    benchmark_missing,
     benchmark_restore,
     constraint_report,
     newton_pf,
@@ -320,6 +321,8 @@ def cmd_eval(args) -> int:
 
     runs = {"raw": ("raw", None), "benchmark": ("benchmark", None),
             "wls-init": ("wls", None)}
+    if benchmark_missing(network, layout):  # benchmark runs only where the layout has its rows
+        del runs["benchmark"]
     if args.weights:
         runs["wls-trained"] = ("wls", args.weights)
     methods = {}

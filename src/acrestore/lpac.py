@@ -18,13 +18,12 @@ its iteration count and, among cost-equal optima, the vertex it returns.
 
 Only the bus balance rows' bounds depend on the loads. build_lpac
 assembles the model once per topology, at the case's own loads, in the
-network's per-topology store shared by its `with_loads` copies, and each
-call copies the row bounds and writes the loads into them. The LPs it
-returns share the read-only matrix, costs and column bounds, and what
-`simplex_solve` makes of the model on its first solve: the HiGHS form and
-solver, and the optimal basis at the case's loads. From that basis the
-LPs solve warm, in a few dual simplex iterations; every other LP solves
-cold, exactly as `linprog` would.
+network's per-topology store shared by its `with_loads` copies, solves
+it cold there once and keeps its optimal basis; each call copies the row
+bounds and writes the loads into them. The LPs it returns share the
+read-only matrix, costs and column bounds, the model's HiGHS form and
+solver, and that basis, from which they solve warm, in a few dual simplex
+iterations; every other LP solves cold, exactly as `linprog` would.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class LinearProgram:
     var_names: tuple[str, ...]
     row_names: tuple[str, ...]
     # the LP as HiGHS takes it, made on the first solve (see _highs_form), and
-    # for build_lpac's LPs the case's rows and start basis (see _start_basis)
+    # for build_lpac's LPs the start basis (see _case_model)
     _highs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -184,8 +183,8 @@ def _highs_form(lp: LinearProgram) -> tuple:
     first solve of the model and shared by the LPs build_lpac derives from
     it: the row order (inequalities, then equalities), the signs in that
     order (-1 on rows with a finite lower side, which enter negated), the
-    model as a HiGHS LP (the signed rows in that order, column-wise, the
-    costs and column bounds; each solve writes the row bounds) and its solver."""
+    signed rows in that order as column-wise start, index and value arrays,
+    and the model's HiGHS solver."""
     if "form" not in lp._highs:
         # scipy.sparse and scipy.optimize load on first use: at module level they
         # cost every process that never builds or solves an LP ~0.3 s and ~20 MB
@@ -196,51 +195,34 @@ def _highs_form(lp: LinearProgram) -> tuple:
         order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
         sign = np.where(~eq & np.isfinite(lp.row_lo), -1.0, 1.0)[order]
         csc = sp.csc_array(sp.diags(sign) @ lp.a_mat[order])
-        matrix = highs.HighsSparseMatrix()
-        matrix.format_, (matrix.num_row_, matrix.num_col_) = highs.MatrixFormat.kColwise, csc.shape
-        # pybind converts a list to a C++ vector faster than a numpy array
-        matrix.start_, matrix.index_, matrix.value_ = (
-            a.tolist() for a in (csc.indptr, csc.indices, csc.data))
-        model = highs.HighsLp()
-        model.num_col_, model.num_row_, model.a_matrix_ = lp.n_var, lp.n_row, matrix
-        model.col_cost_, model.col_lower_, model.col_upper_ = (
-            v.tolist() for v in (lp.c_vec, lp.lower, lp.upper))
-        lp._highs.setdefault("form", (order, sign, model, highs._Highs()))
+        lp._highs.setdefault("form", (order, sign, csc.indptr.astype(np.int32),
+                                      csc.indices.astype(np.int32), csc.data, highs._Highs()))
     return lp._highs["form"]
 
 
 def _run_highs(lp: LinearProgram, row_lo, row_hi, max_iter=None, basis=None):
     """The model's HiGHS solver run on the LP with the given row bounds,
     cold with linprog's options or, given a basis, warm from it; returns the
-    solver and its model status. The model is passed anew, which replaces
-    the solver's factorization, so a run keeps nothing from the last."""
+    solver and its model status. The whole model is passed anew, replacing
+    the solver's model and factorization, so a run keeps nothing from the last."""
     from scipy.optimize._highspy import _core as highs
 
-    order, sign, model, solver = _highs_form(lp)
+    order, sign, start, index, value, solver = _highs_form(lp)
     lo, hi = row_lo[order], row_hi[order]
-    model.row_lower_, model.row_upper_ = np.where(sign < 0, [-hi, -lo], [lo, hi]).tolist()
     limit = {} if max_iter is None else {"simplex_iteration_limit": max_iter}
-    for name, value in {**(_HIGHS_OPTIONS if basis is None else _WARM_OPTIONS), **limit}.items():
-        solver.setOptionValue(name, value)
-    solver.clearModel()
+    for name, setting in {**(_HIGHS_OPTIONS if basis is None else _WARM_OPTIONS), **limit}.items():
+        solver.setOptionValue(name, setting)
+    passed = solver.passModel(
+        lp.n_var, lp.n_row, value.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+        0.0, lp.c_vec, lp.lower, lp.upper, *np.where(sign < 0, [-hi, -lo], [lo, hi]),
+        start, index, value, np.full(lp.n_var, highs.HighsVarType.kContinuous, np.int32))
     status = highs.HighsModelStatus.kModelError
-    if solver.passModel(model) != highs.HighsStatus.kError:
+    if passed != highs.HighsStatus.kError:
         if basis is not None:
             solver.setBasis(basis)
         solver.run()
         status = solver.getModelStatus()
     return solver, status
-
-
-def _start_basis(lp: LinearProgram):
-    """The optimal basis of the stored LPAC model at the case's own loads,
-    from a cold solve on the first warm solve of the model, or None where
-    that solve is not optimal."""
-    store = lp._highs
-    if "basis" not in store:
-        solver, status = _run_highs(lp, *store["case_rows"])
-        store.setdefault("basis", solver.getBasis() if status.name == "kOptimal" else None)
-    return store["basis"]
 
 
 def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
@@ -251,7 +233,7 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     for any other solver outcome, each naming HiGHS's model status.
 
     An LP from build_lpac solves warm: HiGHS starts from the optimal basis
-    of the same model at the case's own loads (see build_lpac), which stays
+    of the same model at the case's own loads (see _case_model), which stays
     dual feasible when only the balance rows move, and takes Devex edge
     weights; a scenario then takes a few iterations instead of hundreds.
     The result is certified optimal like a cold one and its objective is
@@ -263,11 +245,11 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     tests/test_lpac.py catches a scipy release that breaks that.
 
     The LPs of one model share its HiGHS solver. Each solve writes every
-    option and passes the model anew, so no result depends on earlier
-    solves (test_scenario_solve_does_not_depend_on_earlier_solves pins
-    that); but LPs of one model must not be solved concurrently.
+    option and passes the whole model anew, so no result depends on
+    earlier solves (test_scenario_solve_does_not_depend_on_earlier_solves
+    pins that); but LPs of one model must not be solved concurrently.
     """
-    basis = _start_basis(lp) if "case_rows" in lp._highs else None
+    basis = lp._highs.get("basis")
     solver, status = _run_highs(lp, lp.row_lo, lp.row_hi, max_iter, basis)
     if status.name != "kOptimal":
         raise _STATUS_ERRORS.get(status.name, SimplexError)(
@@ -459,7 +441,8 @@ def build_lpac(
     asks first, and shared read-only by the LPs returned; each call copies
     only the row bounds and writes the network's loads into the balance
     rows (4 * n_branch onward, P and Q interleaved per bus). The LPs
-    returned solve warm from the model's optimal basis (see simplex_solve).
+    returned solve warm from the model's optimal basis at the case's loads,
+    solved once when the model is stored (see _case_model and simplex_solve).
     """
     if n_cos_tangents < 2 or n_circle_cuts < 2 or n_cost_segments < 2:
         raise ValueError("tangent, circle-cut, and cost-segment counts must be >= 2")
@@ -477,10 +460,12 @@ def build_lpac(
 
 def _case_model(network: Network, settings) -> LinearProgram:
     """The model build_lpac stores: _build_model at the case's own loads,
-    whichever copy of the network asks first, with those row bounds kept
-    for the start basis of its warm solves (see simplex_solve)."""
+    whichever copy of the network asks first, solved cold there once; its
+    optimal basis, or None where that solve is not optimal, is the start
+    basis of the warm solves (see simplex_solve)."""
     model = _build_model(network.with_loads(*network.case_loads), *settings)
-    model._highs["case_rows"] = (model.row_lo, model.row_hi)
+    solver, status = _run_highs(model, model.row_lo, model.row_hi)
+    model._highs["basis"] = solver.getBasis() if status.name == "kOptimal" else None
     return model
 
 

@@ -11,7 +11,8 @@ topology again: the copy shares its parent's read-only topology arrays and
 one per-topology store, where `per_topology` keeps values that depend only
 on the topology and the loads it was built with, `case_loads` (the
 measurement layout, bus types, Newton indices, merit-order grid, the LPAC
-model and its solver, the case's own power flow), for every copy to reuse.
+model with its solver and start basis, the case's own power flow), for
+every copy to reuse.
 """
 
 from __future__ import annotations

@@ -169,7 +169,11 @@ def wls_restore(
     applied step fell below tol in max-norm; non-convergence is reported in
     the result flag rather than raised. The step direction is invariant to
     uniform scaling of the weights; a step that inflates the objective by
-    more than 10x is halved (at most 5 times) before being applied.
+    more than 10x is halved (at most 5 times) before being applied. A step
+    that leaves the positive-magnitude region is halved until it stays
+    inside, outside that budget, and does not count as convergence, since
+    the boundary, not the objective, cut it short; a non-finite one ends
+    the run.
 
     `layout` is the compiled layout of z.kinds, when the caller has one;
     it is compiled here otherwise. A layout compiled for other kinds or
@@ -203,13 +207,18 @@ def wls_restore(
 
         x_vec = state.as_vector()
         candidate = None
-        for _ in range(_MAX_HALVINGS + 1):
+        tries, left = _MAX_HALVINGS + 1, False
+        while tries:
             try:
                 trial = StateVector.from_vector(x_vec + step, state.slack)
             except ValueError:  # step left the positive-magnitude region
+                if not np.isfinite(step).all():
+                    break
                 step = step / 2.0
                 halvings += 1
+                left = True
                 continue
+            tries -= 1
             cand_residual = z.values - eval_h(network, trial, layout)
             cand_objective = float(cand_residual @ (weights * cand_residual))
             candidate = trial
@@ -224,7 +233,7 @@ def wls_restore(
         obj_trace.append(objective)
         if keep_iterates:
             state_trace.append(state)
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < tol and not left:
             converged = True
             break
 

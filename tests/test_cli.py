@@ -185,6 +185,35 @@ def test_eval_raw_reads_voltages_by_kind(case_path, tmp_path):
     assert "raw" not in methods["no va[2]"] and "benchmark" in methods["no va[2]"]
 
 
+def test_eval_leaves_out_benchmark_without_its_rows(case_path, tmp_path, capsys):
+    data = tmp_path / "ds"
+    assert run("scenarios", "--case", case_path, "--count", "10", "--seed", "4",
+               "--source", "synthetic", "--out", str(data)) == 0
+    net = load_bundled_case("case5")
+    kinds = fileio.read_dataset(data, net)[0][0].z.kinds
+    no_pinj = rewritten_dataset(data, tmp_path / "no-pinj", net,
+                                [i for i, k in enumerate(kinds) if k.kind != "pinj"])
+    weights = tmp_path / "w.json"
+    assert run("train", "--case", case_path, "--data", str(no_pinj), "--iters", "1",
+               "--out", str(weights)) == 0
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert run("eval", "--case", case_path, "--data", str(no_pinj), "--weights", str(weights),
+               "--out", str(out)) == 0
+    with open(out / "report.json") as fh:
+        assert list(json.load(fh)["methods"]) == ["raw", "wls-init", "wls-trained"]
+    ratio_line = capsys.readouterr().out.splitlines()[-2]
+    assert re.fullmatch(r"loss ratio  wls-trained/raw \S+", ratio_line), ratio_line
+    # restore still refuses the benchmark method on such a layout
+    path = tmp_path / "no-pinj.json"
+    fileio.write_solution(path, net, fileio.SolutionFile(formulation="flat", vm=np.ones(5),
+                                                         va=np.zeros(5)))
+    assert run("restore", "--case", case_path, "--solution", str(path),
+               "--method", "benchmark") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR measurement-layout: benchmark restoration needs pinj[bus 1]"), err
+
+
 def test_eval_curve_output(case_path, tmp_path):
     data = tmp_path / "ds"
     run("scenarios", "--case", case_path, "--count", "10", "--seed", "6",

@@ -2,17 +2,20 @@
 
 No linter ships with the test environment, so this walks each module's
 syntax tree. A line marked `# noqa: F401` may import a name it does not
-use (perfbench's tracer rebinds such names by module attribute).
+use (perfbench's tracer rebinds such names by module attribute); every name
+the tracer rebinds must stay where it looks for it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "acrestore"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "acrestore"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -46,3 +49,15 @@ def test_check_finds_an_unused_import(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("import json\nimport os  # noqa: F401\nimport sys\n\nprint(sys.argv)\n")
     assert unused_imports(module) == ["module.py:1: json"]
+
+
+def test_every_traced_site_is_an_attribute_of_its_owner():
+    # the tracer reads each site from its owner's __dict__, so a rename or a
+    # dropped import in the library would break the traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _name, _after in tracer.SITES
+               if attr not in owner.__dict__]
+    assert tracer.SITES and missing == []

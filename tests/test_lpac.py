@@ -873,6 +873,13 @@ def test_topology_work_is_built_once(monkeypatch):
     for module in (dataclasses, netmodel, scenarios, acpf, lpac):
         if hasattr(module, "replace"):
             monkeypatch.setattr(module, "replace", replace)
+    cold_runs = []
+    real_run = lpac._run_highs
+
+    def run_highs(lp, row_lo, row_hi, max_iter=None, basis=None):
+        cold_runs.append(basis is None)
+        return real_run(lp, row_lo, row_hi, max_iter, basis)
+    monkeypatch.setattr(lpac, "_run_highs", run_highs)
 
     network = load_bundled_case("case14")
     loads = gen_load_scenarios(network, ScenarioSpec(count=16, seed=2))
@@ -884,6 +891,8 @@ def test_topology_work_is_built_once(monkeypatch):
     assert calls == {"_Highs": 1, "_merit_order": 1, "_newton_index": 1,
                      "_generator_bus_types": 1}
     assert set(replaced) == {LinearProgram}  # build_lpac's, never a Bus
+    # the stored model's one cold solve, for the start basis, then 16 warm ones
+    assert cold_runs == [True] + [False] * 16
 
 
 def test_simplex_matches_linprog_to_the_bit_on_random_lps():

@@ -464,6 +464,49 @@ def test_halvings_are_counted(case5):
     assert np.max(np.abs(result.state.as_vector() - truth.as_vector())) < 1e-8
 
 
+def test_step_leaving_the_magnitude_region_keeps_the_run_going(case5):
+    # from magnitudes as low as 0.02, steps cross vm = 0 and need more than
+    # the five damping halvings to stay positive; halving them outside that
+    # budget lets the run reach the truth instead of stopping early
+    rng = np.random.default_rng(156)
+    kinds = canonical_kinds(case5)
+    truth = perturbed_state(case5, rng)
+    z = MeasurementSet(kinds, eval_h(case5, truth, kinds))
+    vm = rng.uniform(0.02, 1.2, case5.n_bus)
+    va = rng.uniform(-0.5, 0.5, case5.n_bus)
+    va[case5.slack] = 0.0
+    result = wls_restore(case5, z, np.ones(z.m), x0=StateVector(vm, va, case5.slack))
+    assert result.converged and result.halvings > 5
+    assert np.max(np.abs(result.state.as_vector() - truth.as_vector())) < 1e-8
+
+
+def test_step_cut_short_by_the_magnitude_region_is_not_convergence(case5):
+    # a flat magnitude with angles up to a radian drives vm at one bus
+    # towards 0 while the objective keeps falling; the run goes on, and steps
+    # that the boundary halves below tol do not count as convergence
+    rng = np.random.default_rng(3)
+    kinds = canonical_kinds(case5)
+    truth = perturbed_state(case5, rng)
+    z = MeasurementSet(kinds, eval_h(case5, truth, kinds))
+    va = rng.uniform(-1.0, 1.0, case5.n_bus)
+    va[case5.slack] = 0.0
+    x0 = StateVector(np.ones(case5.n_bus), va, case5.slack)
+    result = wls_restore(case5, z, np.ones(z.m), x0=x0)
+    assert not result.converged and result.iterations == 50
+    trace = np.array(result.objective_trace)
+    assert np.all(np.diff(trace) <= 0.0) and trace[-1] < trace[6]
+
+
+def test_non_finite_step_ends_the_run(case5, monkeypatch):
+    kinds = canonical_kinds(case5)
+    z = MeasurementSet(kinds, eval_h(case5, perturbed_state(case5, np.random.default_rng(0)),
+                                     kinds))
+    monkeypatch.setattr(wls, "solve_normal", lambda *args: np.full(case5.n_state, -np.inf))
+    result = wls_restore(case5, z, np.ones(z.m))
+    assert not result.converged and result.iterations == 1
+    assert np.array_equal(result.state.as_vector(), StateVector.flat(case5).as_vector())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("solver", ["wls_restore", "solution_sensitivity"])
 def test_first_non_finite_weight_is_named(case5, solver, bad):
