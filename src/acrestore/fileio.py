@@ -80,6 +80,20 @@ def require(payload: dict, key: str, path):
     return payload[key]
 
 
+def finite_array(values, path, field: str) -> np.ndarray:
+    """values as a float array, or a FormatError naming the file, the field
+    and, where one is NaN or infinite, its first such entry."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # a string, null or ragged list
+        raise FormatError(f"{path}: {field}: {exc}") from exc
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise FormatError(f"{path}: {field}[{i}] is {out.flat[i]}, want a finite value")
+    return out
+
+
 def check_network_hash(payload: dict, network: Network, path):
     stored = payload.get("network_hash")
     if stored and stored != network.case_hash:
@@ -125,7 +139,11 @@ def layout_to_json(network: Network, kinds) -> list:
 
 
 def layout_from_json(network: Network, items) -> tuple:
-    return tuple(kind_from_json(network, item) for item in items)
+    """The layout's kinds; the canonical tuple itself when they equal it, so
+    its compiled layout is reused."""
+    kinds = tuple(kind_from_json(network, item) for item in items)
+    canonical = canonical_kinds(network)
+    return canonical if kinds == canonical else kinds
 
 
 # ---------------------------------------------------------------------------
@@ -197,39 +215,35 @@ def read_solution(path, network: Network) -> SolutionFile:
             f"{path}: per-unit base {base} differs from the case's "
             f"{network.base_mva}"
         )
-    bus = payload.get("bus", {})
-    ids = bus.get("ids")
-    if ids != [b.id for b in network.buses]:
+    if payload.get("bus", {}).get("ids") != [b.id for b in network.buses]:
         raise FormatError(f"{path}: bus ids do not match the loaded case")
 
     def arr(group, name, length):
-        values = group.get(name)
+        values = payload.get(group, {}).get(name)
         if values is None:
             return None
-        out = np.asarray(values, dtype=float)
+        out = finite_array(values, path, f"{group}.{name}")
         if out.size != length:
-            raise FormatError(f"{path}: field {name} has length {out.size}, want {length}")
+            raise FormatError(f"{path}: field {group}.{name} has length {out.size}, want {length}")
         return out
 
-    vm = arr(bus, "vm", network.n_bus)
+    vm = arr("bus", "vm", network.n_bus)
     if vm is None:
         raise FormatError(f"{path}: per-bus vm is required")
-    branch = payload.get("branch", {})
-    flow_parts = [arr(branch, f, network.n_branch) for f in ("p_from", "q_from", "p_to", "q_to")]
+    flow_parts = [arr("branch", f, network.n_branch) for f in ("p_from", "q_from", "p_to", "q_to")]
     if any(p is None for p in flow_parts):
         flows = None
     else:
         flows = np.column_stack(flow_parts)
-    gen = payload.get("gen", {})
     return SolutionFile(
         formulation=str(payload.get("formulation", "unknown")),
         vm=vm,
-        va=arr(bus, "va", network.n_bus),
-        p_inj=arr(bus, "p_inj", network.n_bus),
-        q_inj=arr(bus, "q_inj", network.n_bus),
+        va=arr("bus", "va", network.n_bus),
+        p_inj=arr("bus", "p_inj", network.n_bus),
+        q_inj=arr("bus", "q_inj", network.n_bus),
         flows=flows,
-        p_gen=arr(gen, "p", network.n_gen),
-        q_gen=arr(gen, "q", network.n_gen),
+        p_gen=arr("gen", "p", network.n_gen),
+        q_gen=arr("gen", "q", network.n_gen),
     )
 
 
@@ -344,15 +358,17 @@ def _read_record(path, network: Network, kinds) -> ScenarioRecord:
     """One record file of a dataset whose measurement layout is `kinds`."""
     payload = read_json(path, RECORD_SCHEMA)
 
-    def per_bus(group, keys, what):
-        arrays = [np.asarray(require(group, key, path), dtype=float) for key in keys]
+    def per_bus(group, prefix, keys):
+        fields = [prefix + key for key in keys]
+        arrays = [finite_array(require(group, key, path), path, field)
+                  for key, field in zip(keys, fields)]
         if any(a.shape != (network.n_bus,) for a in arrays):
-            raise FormatError(f"{path}: {what} need {network.n_bus} entries each")
+            raise FormatError(f"{path}: {' and '.join(fields)} need {network.n_bus} entries each")
         return arrays
 
-    p_load, q_load = per_bus(payload, ("p_load", "q_load"), "p_load and q_load")
-    vm, va = per_bus(require(payload, "x_ac", path), ("vm", "va"), "x_ac vm and va")
-    z = np.asarray(require(payload, "z", path), dtype=float)
+    p_load, q_load = per_bus(payload, "", ("p_load", "q_load"))
+    vm, va = per_bus(require(payload, "x_ac", path), "x_ac.", ("vm", "va"))
+    z = finite_array(require(payload, "z", path), path, "z")
     if z.shape != (len(kinds),):
         raise FormatError(f"{path}: z has {z.size} values, the layout {len(kinds)} entries")
     try:

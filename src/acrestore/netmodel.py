@@ -409,6 +409,8 @@ def _consume_rows(tables, current, chunk, lineno):
             row = [float(tok) for tok in row_text.split()]
         except ValueError as exc:
             raise CaseSyntaxError(f"bad numeric value in row {row_text!r}", lineno) from exc
+        if any(math.isnan(value) for value in row):  # float() reads "nan"; inf may mean no limit
+            raise CaseSyntaxError(f"NaN value in row {row_text!r}", lineno)
         tables[current].append((row, lineno))
     return None if closed else current
 

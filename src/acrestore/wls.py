@@ -39,7 +39,8 @@ from .netmodel import Network
 
 W_FLOOR = 1e-8
 
-# a step is rejected and halved when it inflates the objective this much
+# a trial step is rejected and halved when it inflates the objective this
+# much; the trial after the fifth halving is applied anyway
 _DAMP_RATIO = 10.0
 _MAX_HALVINGS = 5
 
@@ -65,8 +66,9 @@ class WlsResult:
     iterations: int
     converged: bool
     halvings: int  # steps halved over the run, by damping or to keep vm > 0
-    objective_trace: tuple = ()
-    state_trace: tuple = ()
+    boundary_halvings: int  # the part of halvings spent keeping every vm > 0
+    objective_trace: tuple = ()  # the objective at the start and after each step
+    state_trace: tuple = ()  # the state at the start and after each step
 
 
 def check_weights(weights: np.ndarray, m: int) -> np.ndarray:
@@ -160,7 +162,6 @@ def wls_restore(
     x0: StateVector | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
-    keep_iterates: bool = False,
     layout: Layout | None = None,
 ) -> WlsResult:
     """Iterate Gauss-Newton steps on the weighted least squares objective.
@@ -168,12 +169,13 @@ def wls_restore(
     Starts from a flat state unless x0 is given. Convergence means the
     applied step fell below tol in max-norm; non-convergence is reported in
     the result flag rather than raised. The step direction is invariant to
-    uniform scaling of the weights; a step that inflates the objective by
-    more than 10x is halved (at most 5 times) before being applied. A step
-    that leaves the positive-magnitude region is halved until it stays
-    inside, outside that budget, and does not count as convergence, since
-    the boundary, not the objective, cut it short; a non-finite one ends
-    the run.
+    uniform scaling of the weights. Each step passes three stages: a step
+    that is not finite ends the run; a step that would take a magnitude to
+    zero or below is halved until every vm stays positive, and its
+    iteration does not count as convergence, since the boundary, not the
+    objective, cut it short; then the first of at most six trials whose
+    objective is at most 10x the current one is applied, each failed trial
+    halving the step, and the sixth is applied even if it fails.
 
     `layout` is the compiled layout of z.kinds, when the caller has one;
     it is compiled here otherwise. A layout compiled for other kinds or
@@ -195,45 +197,39 @@ def wls_restore(
     state = x0 if x0 is not None else StateVector.flat(network)
     residual = z.values - eval_h(network, state, layout)
     objective = float(residual @ (weights * residual))
-    obj_trace = [objective]
-    state_trace = [state] if keep_iterates else []
+    obj_trace, state_trace = [objective], [state]
     converged = False
-    iterations = halvings = 0
+    iterations = damped = boundary = 0
 
     for iterations in range(1, max_iter + 1):
         values = jacobian_values(network, state, layout)
         grad = jacobian_transpose_product(layout, values, weights * residual)
         step = solve_normal(values, weights, grad, network, layout)
-
-        x_vec = state.as_vector()
-        candidate = None
-        tries, left = _MAX_HALVINGS + 1, False
-        while tries:
-            try:
-                trial = StateVector.from_vector(x_vec + step, state.slack)
-            except ValueError:  # step left the positive-magnitude region
-                if not np.isfinite(step).all():
-                    break
-                step = step / 2.0
-                halvings += 1
-                left = True
-                continue
-            tries -= 1
-            cand_residual = z.values - eval_h(network, trial, layout)
-            cand_objective = float(cand_residual @ (weights * cand_residual))
-            candidate = trial
-            if cand_objective <= _DAMP_RATIO * objective:
-                break
-            step = step / 2.0
-            halvings += 1
-        if candidate is None:
+        if not np.isfinite(step).all():
             break
 
-        state, residual, objective = candidate, cand_residual, cand_objective
+        x_vec = state.as_vector()
+        moved = x_vec + step
+        cuts = 0  # halvings that keep every magnitude positive
+        while (moved[:network.n_bus] <= 0.0).any():
+            step = step / 2.0
+            moved = x_vec + step
+            cuts += 1
+        boundary += cuts
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = StateVector.from_vector(moved, state.slack)
+            trial_residual = z.values - eval_h(network, trial, layout)
+            trial_objective = float(trial_residual @ (weights * trial_residual))
+            if trial_objective <= _DAMP_RATIO * objective:
+                break
+            step = step / 2.0
+            moved = x_vec + step
+            damped += 1
+
+        state, residual, objective = trial, trial_residual, trial_objective
         obj_trace.append(objective)
-        if keep_iterates:
-            state_trace.append(state)
-        if np.max(np.abs(step)) < tol and not left:
+        state_trace.append(state)
+        if np.max(np.abs(step)) < tol and not cuts:
             converged = True
             break
 
@@ -243,7 +239,8 @@ def wls_restore(
         objective=objective * w_scale,
         iterations=iterations,
         converged=converged,
-        halvings=halvings,
+        halvings=damped + boundary,
+        boundary_halvings=boundary,
         objective_trace=tuple(value * w_scale for value in obj_trace),
         state_trace=tuple(state_trace),
     )

@@ -156,13 +156,13 @@ def test_criterion_2_wls_consistency(all_fixtures):
         truth = perturbed_state(network, rng)
         z = MeasurementSet(kinds, eval_h(network, truth, kinds))
         weights = 10.0 ** rng.uniform(1, 4, z.m)
-        base = wls_restore(network, z, weights, keep_iterates=True)
+        base = wls_restore(network, z, weights)
         err = np.max(np.abs(base.state.as_vector() - truth.as_vector()))
         worst_err = max(worst_err, err)
         worst_iters = max(worst_iters, base.iterations)
         assert base.converged
         for c in (1e-3, 1.0, 1e3):
-            scaled = wls_restore(network, z, c * weights, keep_iterates=True)
+            scaled = wls_restore(network, z, c * weights)
             assert scaled.iterations == base.iterations
             for s_a, s_b in zip(base.state_trace, scaled.state_trace):
                 worst_scale = max(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from acrestore.cli import main
-from acrestore import fileio
+from acrestore import acpf, fileio
 from acrestore.acpf import MeasurementKind
 from acrestore.netmodel import load_bundled_case
 import importlib.resources
@@ -375,3 +375,68 @@ def test_restore_single_file_matches_batch(case_path, tmp_path, method):
     assert run("restore", "--case", case_path, "--solutions", str(sol_dir),
                "--method", method, "--out", str(tmp_path / "batch")) == 0
     assert single.read_bytes() == (tmp_path / "batch" / "lpac.json").read_bytes()
+
+
+def test_eval_compiles_the_canonical_layout_once(tmp_path, monkeypatch):
+    text = (importlib.resources.files("acrestore") / "cases" / "case14.m").read_text()
+    case14_path = tmp_path / "case14.m"
+    case14_path.write_text(text)
+    data = tmp_path / "ds"
+    assert run("scenarios", "--case", str(case14_path), "--count", "20", "--seed", "3",
+               "--source", "synthetic", "--out", str(data)) == 0
+    calls = []
+    compile_ = acpf._compile
+
+    def counting(network, kinds):
+        calls.append(len(kinds))
+        return compile_(network, kinds)
+
+    monkeypatch.setattr(acpf, "_compile", counting)
+    assert run("eval", "--case", str(case14_path), "--data", str(data),
+               "--out", str(tmp_path / "rep")) == 0
+    assert len(calls) <= 1, calls
+
+
+def test_bad_number_in_a_solution_file_is_a_file_format_error(case_path, tmp_path, capsys):
+    pf_out = tmp_path / "pf.json"
+    run("pf", "--case", case_path, "--out", str(pf_out))
+    payload = json.loads(pf_out.read_text())
+    payload["bus"]["vm"][2] = float("nan")
+    pf_out.write_text(json.dumps(payload))
+    for method in ("raw", "wls"):
+        capsys.readouterr()
+        assert run("restore", "--case", case_path, "--solution", str(pf_out),
+                   "--method", method) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR file-format: {pf_out}: bus.vm[2] is nan"), err
+    payload["bus"]["vm"][2] = "high"
+    pf_out.write_text(json.dumps(payload))
+    assert run("restore", "--case", case_path, "--solution", str(pf_out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR file-format: {pf_out}: bus.vm: could not convert"), err
+
+
+def test_non_finite_record_value_is_a_file_format_error(case_path, tmp_path, capsys):
+    data = case5_dataset(case_path, tmp_path / "ds")
+    record = data / "records" / "s00001.json"
+    payload = json.loads(record.read_text())
+    payload["x_ac"]["vm"][0] = float("nan")
+    record.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("train", "--case", case_path, "--data", str(data), "--iters", "1",
+               "--out", str(tmp_path / "w.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR file-format: {record}: x_ac.vm[0] is nan"), err
+
+
+def test_nan_in_a_case_file_is_a_case_format_error(case_path, tmp_path, capsys):
+    lines = open(case_path).read().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.strip().startswith("mpc.bus")) + 1
+    fields = lines[row].split()
+    fields[2] = "nan"  # the first bus's active load
+    lines[row] = "\t".join(fields)
+    bad = tmp_path / "nan.m"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("parse", "--case", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR case-format: line {row + 1}: NaN value in row"), err

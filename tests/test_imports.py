@@ -3,19 +3,24 @@
 No linter ships with the test environment, so this walks each module's
 syntax tree. A line marked `# noqa: F401` may import a name it does not
 use (perfbench's tracer rebinds such names by module attribute); every name
-the tracer rebinds must stay where it looks for it.
+the tracer rebinds must stay where it looks for it, and every name and
+keyword the benchmark's workloads take from the library must still exist.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "acrestore"
+# the package modules perfbench/workloads.py calls through their attributes
+LIBRARY_MODULES = ("acpf", "fileio", "lpac", "scenarios", "train", "wls")
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -61,3 +66,33 @@ def test_every_traced_site_is_an_attribute_of_its_owner():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _name, _after in tracer.SITES
                if attr not in owner.__dict__]
     assert tracer.SITES and missing == []
+
+
+def library_uses(path: Path) -> list[tuple[str, str, list[str]]]:
+    """(module, attribute, keywords) for every attribute the file reads off a
+    library module; keywords are those of a call made through it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    keywords = {id(node.func): [k.arg for k in node.keywords if k.arg]
+                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [(node.value.id, node.attr, keywords.get(id(node), []))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in LIBRARY_MODULES]
+
+
+def test_every_library_name_the_benchmark_uses_exists():
+    # workloads.py is parsed, not run, so a name or keyword the library
+    # renames or drops fails here and not only in the benchmark's own tests
+    uses = library_uses(ROOT / "perfbench" / "workloads.py")
+    assert uses
+    broken = []
+    for module_name, attr, keywords in uses:
+        module = importlib.import_module(f"acrestore.{module_name}")
+        if not hasattr(module, attr):
+            broken.append(f"{module_name}.{attr}")
+        elif keywords:
+            try:
+                inspect.signature(getattr(module, attr)).bind_partial(**dict.fromkeys(keywords))
+            except TypeError as exc:
+                broken.append(f"{module_name}.{attr}: {exc}")
+    assert broken == []

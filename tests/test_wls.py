@@ -91,9 +91,9 @@ def test_matches_grid_search_oracle(two_bus):
 
 def test_uniform_weight_scaling_leaves_iterates_unchanged(two_bus):
     z, weights = two_bus_oracle_problem(two_bus)
-    base = wls_restore(two_bus, z, weights, keep_iterates=True)
+    base = wls_restore(two_bus, z, weights)
     for c in (1e-3, 1.0, 1e3):
-        scaled = wls_restore(two_bus, z, c * weights, keep_iterates=True)
+        scaled = wls_restore(two_bus, z, c * weights)
         assert scaled.iterations == base.iterations
         for s_a, s_b in zip(base.state_trace, scaled.state_trace):
             assert np.max(np.abs(s_a.as_vector() - s_b.as_vector())) < 1e-12
@@ -456,7 +456,8 @@ def test_halvings_are_counted(case5):
     z = MeasurementSet(kinds, eval_h(case5, truth, kinds))
     weights = np.ones(z.m)
     assert wls_restore(case5, z, weights).halvings == 0
-    # a flat magnitude with angles up to a radian overshoots and is damped
+    # a flat magnitude with angles up to a radian takes steps that cross vm = 0
+    # and are halved back inside the magnitude region
     va = rng.uniform(-1.0, 1.0, case5.n_bus)
     va[case5.slack] = 0.0
     result = wls_restore(case5, z, weights, x0=StateVector(np.ones(case5.n_bus), va, case5.slack))
@@ -493,6 +494,7 @@ def test_step_cut_short_by_the_magnitude_region_is_not_convergence(case5):
     x0 = StateVector(np.ones(case5.n_bus), va, case5.slack)
     result = wls_restore(case5, z, np.ones(z.m), x0=x0)
     assert not result.converged and result.iterations == 50
+    assert result.halvings == result.boundary_halvings > 0  # no step was damped
     trace = np.array(result.objective_trace)
     assert np.all(np.diff(trace) <= 0.0) and trace[-1] < trace[6]
 
@@ -501,10 +503,28 @@ def test_non_finite_step_ends_the_run(case5, monkeypatch):
     kinds = canonical_kinds(case5)
     z = MeasurementSet(kinds, eval_h(case5, perturbed_state(case5, np.random.default_rng(0)),
                                      kinds))
-    monkeypatch.setattr(wls, "solve_normal", lambda *args: np.full(case5.n_state, -np.inf))
-    result = wls_restore(case5, z, np.ones(z.m))
-    assert not result.converged and result.iterations == 1
-    assert np.array_equal(result.state.as_vector(), StateVector.flat(case5).as_vector())
+    flat = StateVector.flat(case5).as_vector()
+    for bad in (np.nan, np.inf, -np.inf):
+        monkeypatch.setattr(wls, "solve_normal",
+                            lambda *args, bad=bad: np.full(case5.n_state, bad))
+        result = wls_restore(case5, z, np.ones(z.m))
+        assert not result.converged and result.iterations == 1 and result.halvings == 0, bad
+        assert np.array_equal(result.state.as_vector(), flat), bad
+        assert len(result.state_trace) == len(result.objective_trace) == 1, bad
+
+
+def test_damping_halvings_are_not_boundary_halvings(case5, monkeypatch):
+    # a step that keeps every vm at 1 and turns each angle by two radians
+    # stays inside the magnitude region but inflates the objective
+    kinds = canonical_kinds(case5)
+    z = MeasurementSet(kinds, eval_h(case5, perturbed_state(case5, np.random.default_rng(0)),
+                                     kinds))
+    step = np.zeros(case5.n_state)
+    step[case5.n_bus:] = 2.0
+    monkeypatch.setattr(wls, "solve_normal", lambda *args: step)
+    result = wls_restore(case5, z, np.ones(z.m), max_iter=1)
+    assert result.halvings > 0 == result.boundary_halvings
+    assert result.objective_trace[1] <= 10.0 * result.objective_trace[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
