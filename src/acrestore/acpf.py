@@ -7,13 +7,14 @@ magnitudes, angles, net bus injections, and directed branch flows, all in
 per-unit and radians.
 
 A measurement layout is a sequence of MeasurementKind. `compile_layout`
-validates one once into a Layout: its rows grouped by kind family, where
-each row's value lies in the pool of quantities a state implies
-(`h_source`), and the topology (slack bus, branch endpoints) it was
-compiled for. `eval_h`, `jacobian_values` and `eval_H` take either a
-sequence, compiled on each call, or a Layout, used as is. `eval_h` fills
-that pool and gathers the rows from it, as `jacobian_values` gathers the
-Jacobian from its derivative pool.
+validates one once into a Layout, the tuple of those kinds with their rows
+grouped by kind family, where each row's value lies in the pool of
+quantities a state implies (`h_source`), and the topology (slack bus,
+branch endpoints) it was compiled for; `canonical_kinds` is the canonical
+one, compiled once per topology. `eval_h`, `jacobian_values` and `eval_H`
+take a plain sequence, compiled on each call, or a Layout, used as is.
+`eval_h` fills that pool and gathers the rows from it, as
+`jacobian_values` gathers the Jacobian from its derivative pool.
 
 A Layout also carries the sparsity pattern of its Jacobian: the positions
 the topology allows to be nonzero at any state, where each one's value
@@ -94,16 +95,16 @@ class MeasurementSet:
         )
 
 
-def canonical_kinds(network: Network) -> tuple[MeasurementKind, ...]:
+def canonical_kinds(network: Network) -> Layout:
     """The canonical layout: vm, va, pinj, qinj by bus, then flows by branch.
 
-    It is made once per topology, so every `with_loads` copy returns the
-    same tuple, and `compile_layout` compiles it once.
+    It is compiled once per topology, so every `with_loads` copy returns the
+    same Layout, and so does `compile_layout` for any sequence equal to it.
     """
-    return network.per_topology("canonical_kinds", lambda: tuple(
+    return network.per_topology("canonical_kinds", lambda: _compile(network, tuple(
         [MeasurementKind(name, i) for name in BUS_KINDS for i in range(network.n_bus)]
         + [MeasurementKind(name, e) for name in BRANCH_KINDS for e in range(network.n_branch)]
-    ))
+    )))
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,10 @@ class StateVector:
         object.__setattr__(self, "va", va)
         if vm.shape != va.shape:
             raise ValueError("vm and va must have equal length")
-        if np.any(vm <= 0.0):
+        if not np.all(vm > 0.0):
             raise ValueError("voltage magnitudes must be strictly positive")
+        if not np.all(np.isfinite(va)):
+            raise ValueError("voltage angles must be finite")
         if va[self.slack] != 0.0:
             raise ValueError("slack angle must be zero")
 
@@ -185,28 +188,29 @@ class JacobianPattern(NamedTuple):
     target: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Layout:
-    """A validated measurement layout, compiled once and reused as is.
+class Layout(tuple):
+    """A validated measurement layout: the tuple of its MeasurementKinds,
+    compiled once and reused as is.
 
-    `kinds` is the sequence it was compiled from. `groups` maps each kind
-    family present to its row positions and its bus or branch indices.
-    `h_source` is where each row's value lies in the real view of the pool
-    `eval_h` fills at a state: vm, va, then the complex bus injections,
-    from-side flows and to-side flows, real and imaginary parts interleaved.
-    A layout fits the networks with the slack bus and branch endpoints
-    (`f_idx`, `t_idx`) it was compiled for.
+    `groups` maps each kind family present to its row positions and its bus
+    or branch indices. `h_source` is where each row's value lies in the real
+    view of the pool `eval_h` fills at a state: vm, va, then the complex bus
+    injections, from-side flows and to-side flows, real and imaginary parts
+    interleaved. A layout fits the networks with the slack bus and branch
+    endpoints (`f_idx`, `t_idx`) it was compiled for. It compares equal to
+    any sequence of the same kinds, and a copy or pickle of it is a plain
+    tuple of them; only `compile_layout` makes one.
     """
 
-    kinds: tuple
-    m: int
-    n_bus: int
-    n_branch: int
-    slack: int
-    f_idx: np.ndarray
-    t_idx: np.ndarray
-    groups: dict
-    h_source: np.ndarray
+    def __new__(cls, kinds, network: Network, groups: dict, h_source: np.ndarray):
+        self = super().__new__(cls, kinds)
+        self.m, self.groups, self.h_source = len(kinds), groups, h_source
+        self.n_bus, self.n_branch, self.slack = network.n_bus, network.n_branch, network.slack
+        self.f_idx, self.t_idx = network.f_idx, network.t_idx
+        return self
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
     @cached_property
     def pattern(self) -> JacobianPattern:
@@ -278,11 +282,6 @@ class Layout:
                                pair_bus, pair_other, diagonal,
                                first, second, entry_cols[first] * n + entry_cols[second])
 
-    def check_kinds(self, kinds):
-        """Raise MeasurementError unless this layout was compiled from kinds."""
-        if self.kinds is not kinds and self.kinds != tuple(kinds):
-            raise MeasurementError("layout was compiled for other measurement kinds")
-
 
 def _bus_pairs(n_bus: int, f_idx: np.ndarray, t_idx: np.ndarray):
     """Each bus with itself and every bus a branch joins to it, once each
@@ -317,16 +316,14 @@ def compile_layout(network: Network, kinds) -> Layout:
 
     Raises MeasurementError for the first faulty entry in layout order,
     checking at each position the kind, then the index range, then whether
-    the entry repeats an earlier one. A Layout is returned unchanged when
-    it was compiled for the network's bus and branch counts, slack bus and
-    branch endpoints; otherwise MeasurementError is raised. The tuple
-    `canonical_kinds` returns is compiled once per topology.
+    the entry repeats an earlier one. A sequence equal to the canonical
+    kinds returns `canonical_kinds(network)`. A Layout is returned unchanged
+    when it was compiled for the network's bus and branch counts, slack bus
+    and branch endpoints; otherwise MeasurementError is raised.
     """
     if isinstance(kinds, Layout):
         _check_topology(kinds, network)
         return kinds
-    if kinds is canonical_kinds(network):
-        return network.per_topology("canonical_layout", lambda: _compile(network, kinds))
     return _compile(network, tuple(kinds))
 
 
@@ -334,14 +331,14 @@ def _compile(network: Network, kinds: tuple) -> Layout:
     m = len(kinds)
     codes = np.array([_KIND_CODE.get(k.kind, -1) for k in kinds], dtype=int)
     index = np.array([k.index for k in kinds], dtype=int)
+    nb, ne = network.n_bus, network.n_branch
     # per-code index limit; the last entry, 0, serves unknown kinds (code -1)
-    limits = np.array([network.n_bus] * len(BUS_KINDS)
-                      + [network.n_branch] * len(BRANCH_KINDS) + [0])
+    limits = np.array([nb] * len(BUS_KINDS) + [ne] * len(BRANCH_KINDS) + [0])
     valid = (index >= 0) & (index < limits[codes])
     # a repeat is an entry whose key was first seen at an earlier position;
     # invalid entries share the key -1, the last slot of `first`, and the
     # first of them is reported before any repeat that key produces
-    width = max(network.n_bus, network.n_branch)
+    width = max(nb, ne)
     key = codes * width + index
     key[~valid] = -1
     position = np.arange(m)
@@ -357,18 +354,23 @@ def _compile(network: Network, kinds: tuple) -> Layout:
             raise MeasurementError(f"{k.kind}[{k.index}] out of range")
         raise MeasurementError(f"duplicate measurement {k.kind}[{k.index}]")
 
-    groups = {}
-    for code, name in enumerate(ALL_KINDS):
-        rows = np.flatnonzero(codes == code)
-        if rows.size:
-            groups[name] = (rows, index[rows])
-    # per kind code, the offset of its block in eval_h's pool and the step per index
-    nb, ne = network.n_bus, network.n_branch
-    offset = np.array([0, nb, 2 * nb, 2 * nb + 1, 4 * nb, 4 * nb + 1,
-                       4 * nb + 2 * ne, 4 * nb + 2 * ne + 1])
-    stride = np.array([1, 1, 2, 2, 2, 2, 2, 2])
-    return Layout(kinds, m, nb, ne, network.slack, network.f_idx, network.t_idx, groups,
-                  offset[codes] + stride[codes] * index)
+    def build():
+        groups = {}
+        for code, name in enumerate(ALL_KINDS):
+            rows = np.flatnonzero(codes == code)
+            if rows.size:
+                groups[name] = (rows, index[rows])
+        # per kind code, the offset of its block in eval_h's pool and the step per index
+        offset = np.array([0, nb, 2 * nb, 2 * nb + 1, 4 * nb, 4 * nb + 1,
+                           4 * nb + 2 * ne, 4 * nb + 2 * ne + 1])
+        stride = np.array([1, 1, 2, 2, 2, 2, 2, 2])
+        return Layout(kinds, network, groups, offset[codes] + stride[codes] * index)
+
+    # every measurement once and in key order is the canonical layout; its
+    # first compilation, from canonical_kinds or not, is the one stored
+    if m == len(BUS_KINDS) * nb + len(BRANCH_KINDS) * ne and (key[1:] > key[:-1]).all():
+        return network.per_topology("canonical_kinds", build)
+    return build()
 
 
 def _branch_flows(network: Network, v: np.ndarray):

@@ -19,6 +19,7 @@ from .acpf import (
     ALL_KINDS,
     BRANCH_KINDS,
     BUS_KINDS,
+    Layout,
     MeasurementKind,
     MeasurementSet,
     OperatingPoint,
@@ -121,29 +122,24 @@ def kind_to_json(network: Network, kind: MeasurementKind) -> dict:
 
 def kind_from_json(network: Network, item: dict) -> MeasurementKind:
     name = item.get("kind")
-    if name in BUS_KINDS:
-        bus = item.get("bus")
-        if bus not in network.bus_index:
-            raise FormatError(f"unknown bus {bus!r} in layout")
-        return MeasurementKind(name, network.bus_index[bus])
-    if name in BRANCH_KINDS:
-        branch = item.get("branch")
-        if not isinstance(branch, int) or not (0 <= branch < network.n_branch):
-            raise FormatError(f"unknown branch {branch!r} in layout")
-        return MeasurementKind(name, branch)
-    raise FormatError(f"unknown measurement kind {name!r}")
+    if name not in ALL_KINDS:
+        raise FormatError(f"unknown measurement kind {name!r}")
+    # a bus by its id, a branch by its position, each a plain JSON integer
+    key, index = (("bus", network.bus_index) if name in BUS_KINDS
+                  else ("branch", range(network.n_branch)))
+    at = item.get(key)
+    if type(at) is not int or at not in index:
+        raise FormatError(f"unknown {key} {at!r} in layout")
+    return MeasurementKind(name, index[at])
 
 
 def layout_to_json(network: Network, kinds) -> list:
     return [kind_to_json(network, k) for k in kinds]
 
 
-def layout_from_json(network: Network, items) -> tuple:
-    """The layout's kinds; the canonical tuple itself when they equal it, so
-    its compiled layout is reused."""
-    kinds = tuple(kind_from_json(network, item) for item in items)
-    canonical = canonical_kinds(network)
-    return canonical if kinds == canonical else kinds
+def layout_from_json(network: Network, items) -> Layout:
+    """The layout's kinds, compiled (see `compile_layout`)."""
+    return compile_layout(network, [kind_from_json(network, item) for item in items])
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +258,9 @@ def solution_to_measurements(network: Network, sol: SolutionFile) -> Measurement
         present["qinj"] = sol.q_inj
     if sol.flows is not None:
         present.update(zip(BRANCH_KINDS, np.asarray(sol.flows).T))
-    # the canonical tuple itself when every group is present, so its
-    # compiled layout is reused
     kinds = canonical_kinds(network)
     if len(present) < len(ALL_KINDS):
-        kinds = tuple(k for k in kinds if k.kind in present)
+        kinds = compile_layout(network, [k for k in kinds if k.kind in present])
     values = np.concatenate([present[name] for name in ALL_KINDS if name in present])
     return MeasurementSet(kinds, values)
 
@@ -392,7 +386,6 @@ def read_dataset(root, network: Network):
     manifest = read_json(manifest_path, MANIFEST_SCHEMA)
     check_network_hash(manifest, network, root)
     kinds = layout_from_json(network, require(manifest, "layout", manifest_path))
-    compile_layout(network, kinds)  # one shared layout, validated once
     records = [_read_record(os.path.join(root, name), network, kinds)
                for name in require(manifest, "records", manifest_path)]
     by_index = {rec.index: rec for rec in records}
@@ -418,10 +411,16 @@ def write_trace(path, trace):
 
 def read_trace(path):
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0].split("\t") != ["iteration", "loss", "grad_max"]:
+        lines = [(number, line.strip()) for number, line in enumerate(fh, 1) if line.strip()]
+    if not lines or lines[0][1].split("\t") != ["iteration", "loss", "grad_max"]:
         raise FormatError(f"{path}: not a training trace")
-    rows = [tuple(float(tok) for tok in line.split("\t")) for line in lines[1:]]
+    rows = []
+    for number, line in lines[1:]:
+        try:  # a field that is not a number, or not three fields
+            iteration, loss_value, grad_max = (float(tok) for tok in line.split("\t"))
+        except ValueError:
+            raise FormatError(f"{path}: line {number}: {line!r} is not three numbers") from None
+        rows.append((iteration, loss_value, grad_max))
     return rows
 
 

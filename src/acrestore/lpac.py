@@ -200,15 +200,15 @@ def _highs_form(lp: LinearProgram) -> tuple:
     return lp._highs["form"]
 
 
-def _run_highs(lp: LinearProgram, row_lo, row_hi, max_iter=None, basis=None):
-    """The model's HiGHS solver run on the LP with the given row bounds,
-    cold with linprog's options or, given a basis, warm from it; returns the
-    solver and its model status. The whole model is passed anew, replacing
-    the solver's model and factorization, so a run keeps nothing from the last."""
+def _run_highs(lp: LinearProgram, max_iter=None, basis=None):
+    """The model's HiGHS solver run on the LP, cold with linprog's options
+    or, given a basis, warm from it; returns the solver and its model
+    status. The whole model is passed anew, replacing the solver's model
+    and factorization, so a run keeps nothing from the last."""
     from scipy.optimize._highspy import _core as highs
 
     order, sign, start, index, value, solver = _highs_form(lp)
-    lo, hi = row_lo[order], row_hi[order]
+    lo, hi = lp.row_lo[order], lp.row_hi[order]
     limit = {} if max_iter is None else {"simplex_iteration_limit": max_iter}
     for name, setting in {**(_HIGHS_OPTIONS if basis is None else _WARM_OPTIONS), **limit}.items():
         solver.setOptionValue(name, setting)
@@ -250,7 +250,7 @@ def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> SimplexResu
     pins that); but LPs of one model must not be solved concurrently.
     """
     basis = lp._highs.get("basis")
-    solver, status = _run_highs(lp, lp.row_lo, lp.row_hi, max_iter, basis)
+    solver, status = _run_highs(lp, max_iter, basis)
     if status.name != "kOptimal":
         raise _STATUS_ERRORS.get(status.name, SimplexError)(
             f"HiGHS model status: {solver.modelStatusToString(status)}")
@@ -464,7 +464,7 @@ def _case_model(network: Network, settings) -> LinearProgram:
     optimal basis, or None where that solve is not optimal, is the start
     basis of the warm solves (see simplex_solve)."""
     model = _build_model(network.with_loads(*network.case_loads), *settings)
-    solver, status = _run_highs(model, model.row_lo, model.row_hi)
+    solver, status = _run_highs(model)
     model._highs["basis"] = solver.getBasis() if status.name == "kOptimal" else None
     return model
 

@@ -17,9 +17,8 @@ H is carried as its values at the layout's sparsity pattern
 formed over the same pattern and factored by the normal-equation solver of
 `wls` (`solve_normal`), so an unobservable layout raises the same
 UnobservableError, naming the unobservable direction, as the restoration
-does. Like the restoration, each call validates and compiles its
-measurement layout once, or takes the compiled layout of z.kinds as a
-precomputed input.
+does. Like the restoration, each call takes the compiled layout of z.kinds:
+z.kinds itself when it is a Layout, compiled once otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .acpf import (
-    Layout,
     MeasurementSet,
     StateVector,
     compile_layout,
@@ -47,17 +45,15 @@ def solution_sensitivity(
     weights: np.ndarray,
     x_r: StateVector,
     d: np.ndarray | None = None,
-    layout: Layout | None = None,
 ) -> np.ndarray:
     """Sensitivity S (n_state, m) at x_r, or its product S' d with d given.
 
     d is a state-space vector (n_state,) or matrix (n_state, k); the product
     has shape (m,) or (m, k). x_r must be a converged restoration for
     (z, weights); the result is homogeneous of degree -1 in the weights.
-    `layout` is the compiled layout of z.kinds, as for `wls_restore`.
+    z.kinds is compiled as for `wls_restore`.
     """
-    layout = compile_layout(network, z.kinds if layout is None else layout)
-    layout.check_kinds(z.kinds)
+    layout = compile_layout(network, z.kinds)
     weights = check_weights(weights, z.m)
     residual = z.values - eval_h(network, x_r, layout)
     values = jacobian_values(network, x_r, layout)

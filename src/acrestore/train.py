@@ -12,23 +12,23 @@ Adam iteration; the first iteration, and a record skipped on the previous
 one, start flat, as does every restoration in `accumulate_gradient`.
 
 All records share one measurement layout, so a training job (or one
-`accumulate_gradient` call) compiles it once and hands the compiled layout
-to every restoration and sensitivity; its sparsity pattern, which the
-normal products sum over, is then built once per job instead of once per
-call. A gradient pass restores the records one after another and adds each
-record's gradient as it returns, in record order, so a run is
-deterministic.
+`accumulate_gradient` call) compiles it once and hands each record's
+values on with that Layout as their kinds to every restoration and
+sensitivity; its sparsity pattern, which the normal products sum over, is
+then built once per job instead of once per call. A gradient pass restores
+the records one after another and adds each record's gradient as it
+returns, in record order, so a run is deterministic.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .acpf import Layout, MeasurementSet, StateVector, compile_layout
+from .acpf import MeasurementSet, StateVector, compile_layout
 from .netmodel import Network
 from .sens import solution_sensitivity
 from .wls import W_FLOOR, ConvergenceError, wls_restore
@@ -114,6 +114,13 @@ def check_layout(dataset: list[ScenarioRecord]) -> tuple:
     return layout
 
 
+def _compiled(network: Network, dataset: list[ScenarioRecord]) -> list[ScenarioRecord]:
+    """The records, each with its values under the one compiled layout."""
+    layout = compile_layout(network, check_layout(dataset))
+    return [rec if rec.z.kinds is layout else replace(rec, z=MeasurementSet(layout, rec.z.values))
+            for rec in dataset]
+
+
 def default_initial_weights(kinds) -> np.ndarray:
     """Heuristic starting weights: 1e4 on voltage entries, 1e3 on power entries."""
     return np.array(
@@ -140,15 +147,14 @@ def loss(dataset: list[ScenarioRecord], restored: list[StateVector]) -> float:
     return total / denom
 
 
-def _restore_and_weigh(network, rec, weights, x0, layout):
-    result = wls_restore(network, rec.z, weights, x0=x0, layout=layout)
+def _restore_and_weigh(network, rec, weights, x0):
+    result = wls_restore(network, rec.z, weights, x0=x0)
     if not result.converged:
         raise ConvergenceError(
             f"restoration did not converge in {result.iterations} iterations"
         )
     mismatch = result.state.as_vector() - rec.x_ac.as_vector()
-    grad = solution_sensitivity(network, rec.z, weights, result.state, mismatch,
-                                layout=layout)
+    grad = solution_sensitivity(network, rec.z, weights, result.state, mismatch)
     return grad, result.state, result.iterations
 
 
@@ -156,7 +162,6 @@ def _gradient_pass(
     network: Network,
     dataset: list[ScenarioRecord],
     weights: np.ndarray,
-    layout: Layout,
     starts: list | None = None,
 ):
     """Gradient over the dataset, the restored state of each record (None
@@ -174,7 +179,7 @@ def _gradient_pass(
     gn_iters = 0
     for rec, x0 in zip(dataset, starts):
         try:
-            rec_grad, state, iterations = _restore_and_weigh(network, rec, weights, x0, layout)
+            rec_grad, state, iterations = _restore_and_weigh(network, rec, weights, x0)
         except RuntimeError as exc:
             logger.warning("record %d skipped: %s", rec.index, exc)
             states.append(None)
@@ -198,8 +203,7 @@ def accumulate_gradient(
 ) -> np.ndarray:
     """Summed loss gradient with respect to the weights over the dataset,
     every record restored from a flat start."""
-    layout = compile_layout(network, check_layout(dataset))
-    return _gradient_pass(network, dataset, weights, layout)[0]
+    return _gradient_pass(network, _compiled(network, dataset), weights)[0]
 
 
 def adam_step(
@@ -234,7 +238,8 @@ def train_weights(
     analytic gradient, applies one Adam update, and records the loss of the
     restorations that produced the gradient.
     """
-    kinds = check_layout(train_set)
+    train_set = _compiled(network, train_set)
+    kinds = train_set[0].z.kinds
     w = (
         np.asarray(config.w_init, dtype=float).copy()
         if config.w_init is not None
@@ -242,7 +247,6 @@ def train_weights(
     )
     if w.size != len(kinds):
         raise ValueError(f"{w.size} initial weights for {len(kinds)} measurements")
-    layout = compile_layout(network, kinds)
     m_t = np.zeros_like(w)
     v_t = np.zeros_like(w)
     trace = TrainTrace()
@@ -250,7 +254,7 @@ def train_weights(
 
     for t in range(1, config.max_iter + 1):
         grad, states, gn_iters, skipped = _gradient_pass(
-            network, train_set, w, layout, starts=states
+            network, train_set, w, starts=states
         )
         survivors = [rec for rec, state in zip(train_set, states) if state is not None]
         restored = [state for state in states if state is not None]

@@ -13,9 +13,9 @@ the direct vm and va rows where it can and lets a numpy Cholesky
 factorization decide otherwise, and solves each right-hand side with
 numpy only.
 
-Each restoration validates and compiles its measurement layout once, or
-takes the compiled layout of z.kinds as a precomputed input, and passes it
-to every evaluation of h and H and to every normal-equation solve.
+Each restoration takes the compiled layout of z.kinds, which is z.kinds
+itself when it is a Layout and is compiled once otherwise, and passes it to
+every evaluation of h and H and to every normal-equation solve.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ def wls_restore(
     x0: StateVector | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
-    layout: Layout | None = None,
 ) -> WlsResult:
     """Iterate Gauss-Newton steps on the weighted least squares objective.
 
@@ -177,12 +176,10 @@ def wls_restore(
     objective is at most 10x the current one is applied, each failed trial
     halving the step, and the sixth is applied even if it fails.
 
-    `layout` is the compiled layout of z.kinds, when the caller has one;
-    it is compiled here otherwise. A layout compiled for other kinds or
+    z.kinds is compiled here unless it is a Layout; a Layout compiled for
     another topology raises MeasurementError.
     """
-    layout = compile_layout(network, z.kinds if layout is None else layout)
-    layout.check_kinds(z.kinds)
+    layout = compile_layout(network, z.kinds)
     weights = check_weights(weights, z.m)
     if z.m < network.n_state:
         raise UnobservableError(

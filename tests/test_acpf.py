@@ -16,11 +16,12 @@ from acrestore import (
     constraint_report,
     eval_H,
     eval_h,
+    load_bundled_case,
     newton_pf,
     operating_point,
     parse_case,
 )
-from acrestore import wls_restore
+from acrestore import solution_sensitivity, wls_restore
 from acrestore.acpf import (
     ALL_KINDS,
     BRANCH_KINDS,
@@ -354,7 +355,7 @@ def test_compiled_layout_matches_plain_sequence(case14):
     for kinds in (canonical, subset):
         layout = compile_layout(case14, kinds)
         assert isinstance(layout, Layout) and layout.m == len(kinds)
-        assert compile_layout(case14, layout) is layout
+        assert layout == tuple(kinds) and compile_layout(case14, layout) is layout
         assert np.array_equal(eval_h(case14, state, layout), eval_h(case14, state, kinds))
         assert np.array_equal(eval_H(case14, state, layout), eval_H(case14, state, kinds))
 
@@ -364,9 +365,32 @@ def test_layout_fits_networks_of_its_shape_only(case5, case14):
     loaded = case5.with_loads(case5.p_load * 1.1, case5.q_load)
     state = StateVector.flat(case5)
     assert np.array_equal(eval_h(loaded, state, layout), eval_h(loaded, state, canonical_kinds(case5)))
-    for evaluate in (eval_h, eval_H):
+    # the solvers take the layout from z.kinds
+    z = MeasurementSet(layout, eval_h(case5, state, layout))
+    weights, flat14 = np.ones(z.m), StateVector.flat(case14)
+    for run in (lambda: eval_h(case14, flat14, layout), lambda: eval_H(case14, flat14, layout),
+                lambda: wls_restore(case14, z, weights),
+                lambda: solution_sensitivity(case14, z, weights, flat14)):
         with pytest.raises(MeasurementError, match="layout for 5 buses and 6 branches"):
-            evaluate(case14, StateVector.flat(case14), layout)
+            run()
+
+
+def test_canonical_kinds_is_the_one_compiled_canonical_layout():
+    network = load_bundled_case("case14")  # a topology store of its own
+    kinds = ([MeasurementKind(name, i) for name in BUS_KINDS for i in range(network.n_bus)]
+             + [MeasurementKind(name, e) for name in BRANCH_KINDS for e in range(network.n_branch)])
+    # compiled from a list before canonical_kinds is asked: that compilation is stored
+    layout = compile_layout(network, kinds)
+    assert isinstance(layout, Layout) and layout == tuple(kinds)
+    assert canonical_kinds(network) is layout
+    assert canonical_kinds(network.with_loads(network.p_load * 1.1, network.q_load)) is layout
+    assert compile_layout(network, list(layout)) is layout
+    assert compile_layout(network, layout) is layout
+    swapped = list(kinds)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    for other in (swapped, kinds[:-1]):
+        compiled = compile_layout(network, other)
+        assert compiled == tuple(other) and compiled is not layout
 
 
 def rewired(network, branch, from_bus):
@@ -523,6 +547,17 @@ def test_state_vector_round_trip_is_exact(name, request):
     assert np.array_equal(back.va, np.insert(vec[network.n_bus:], network.slack, 0.0))
     assert np.array_equal(back.vm, state.vm) and np.array_equal(back.va, state.va)
     assert not np.shares_memory(back.vm, vec) and not np.shares_memory(back.va, vec)
+
+
+@pytest.mark.parametrize("vm, va, match", [
+    ([np.nan, 1.0], [0.0, 0.0], "magnitudes must be strictly positive"),
+    ([1.0, 0.0], [0.0, 0.0], "magnitudes must be strictly positive"),
+    ([1.0, 1.0], [0.0, np.inf], "angles must be finite"),
+    ([1.0, 1.0], [0.0, np.nan], "angles must be finite"),
+])
+def test_state_vector_refuses_non_finite_or_non_positive_entries(vm, va, match):
+    with pytest.raises(ValueError, match=match):
+        StateVector(np.array(vm), np.array(va), 0)
 
 
 def sparse_layouts(network, rng):

@@ -377,13 +377,20 @@ def test_restore_single_file_matches_batch(case_path, tmp_path, method):
     assert single.read_bytes() == (tmp_path / "batch" / "lpac.json").read_bytes()
 
 
-def test_eval_compiles_the_canonical_layout_once(tmp_path, monkeypatch):
+def eval_compiles(tmp_path, monkeypatch, permuted):
+    """The layouts `eval` compiles (by length) on a 20-scenario case14
+    dataset, its rows permuted or not."""
     text = (importlib.resources.files("acrestore") / "cases" / "case14.m").read_text()
     case14_path = tmp_path / "case14.m"
     case14_path.write_text(text)
     data = tmp_path / "ds"
     assert run("scenarios", "--case", str(case14_path), "--count", "20", "--seed", "3",
                "--source", "synthetic", "--out", str(data)) == 0
+    if permuted:
+        net = load_bundled_case("case14")
+        m = fileio.read_dataset(data, net)[0][0].z.m
+        data = rewritten_dataset(data, tmp_path / "permuted", net,
+                                 np.random.default_rng(0).permutation(m))
     calls = []
     compile_ = acpf._compile
 
@@ -394,7 +401,19 @@ def test_eval_compiles_the_canonical_layout_once(tmp_path, monkeypatch):
     monkeypatch.setattr(acpf, "_compile", counting)
     assert run("eval", "--case", str(case14_path), "--data", str(data),
                "--out", str(tmp_path / "rep")) == 0
-    assert len(calls) <= 1, calls
+    return calls
+
+
+def test_eval_compiles_the_canonical_layout_once(tmp_path, monkeypatch):
+    calls = eval_compiles(tmp_path, monkeypatch, permuted=False)
+    assert len(calls) == 1, calls
+
+
+def test_eval_compiles_a_permuted_layout_once(tmp_path, monkeypatch):
+    # the records carry the layout their manifest compiled; every method
+    # and every record's restoration takes it from z.kinds
+    calls = eval_compiles(tmp_path, monkeypatch, permuted=True)
+    assert len(calls) == 1, calls
 
 
 def test_bad_number_in_a_solution_file_is_a_file_format_error(case_path, tmp_path, capsys):

@@ -240,6 +240,28 @@ def test_trace_roundtrip(tmp_path):
     assert rows[1] == pytest.approx((2.0, 0.25, 1.0))
 
 
+@pytest.mark.parametrize("row", ["1\tabc\t2", "1\t0.5", "1\t0.5\t2\t3"])
+def test_trace_row_that_is_not_three_numbers_is_a_format_error(tmp_path, row):
+    path = tmp_path / "trace.tsv"
+    path.write_text(f"iteration\tloss\tgrad_max\n1\t0.5\t2\n\n{row}\n")
+    with pytest.raises(FormatError, match=r"trace\.tsv: line 4: .* is not three numbers"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("item", [
+    {"kind": "pf", "branch": True},
+    {"kind": "pf", "branch": 1.0},
+    {"kind": "vm", "bus": [1]},
+    {"kind": "vm", "bus": True},
+    {"kind": "vm", "bus": 1.0},
+])
+def test_layout_position_must_be_a_json_integer(case5, item):
+    position = "bus" if "bus" in item else "branch"
+    fileio.kind_from_json(case5, {**item, position: 1})  # a plain integer is read
+    with pytest.raises(FormatError, match=r"unknown (bus|branch) .* in layout"):
+        fileio.kind_from_json(case5, item)
+
+
 def test_network_hash_distinguishes_cases(case5, case14, two_bus):
     hashes = {case5.case_hash, case14.case_hash, two_bus.case_hash}
     assert len(hashes) == 3

@@ -834,7 +834,7 @@ def test_scenario_solve_does_not_depend_on_earlier_solves(all_fixtures):
                                       alone[j])
 
         def cold_solve():
-            solver, status = _run_highs(model, model.row_lo, model.row_hi)
+            solver, status = _run_highs(model)
             assert status.name == "kOptimal"
             assert np.array_equal(solver.getSolution().col_value, cold.x)
             assert solver.getInfo().simplex_iteration_count == cold.iterations
@@ -876,9 +876,9 @@ def test_topology_work_is_built_once(monkeypatch):
     cold_runs = []
     real_run = lpac._run_highs
 
-    def run_highs(lp, row_lo, row_hi, max_iter=None, basis=None):
+    def run_highs(lp, max_iter=None, basis=None):
         cold_runs.append(basis is None)
-        return real_run(lp, row_lo, row_hi, max_iter, basis)
+        return real_run(lp, max_iter, basis)
     monkeypatch.setattr(lpac, "_run_highs", run_highs)
 
     network = load_bundled_case("case14")

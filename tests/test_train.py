@@ -289,19 +289,19 @@ def test_training_reduces_loss_on_noisy_dataset(case5):
 
 def watch_layouts(monkeypatch):
     """Lists of the layouts compiled from kind sequences (by length) and of
-    the layout handed to each restoration and sensitivity in train."""
+    the kinds of the z handed to each restoration and sensitivity in train."""
     compiled, handed = [], []
     compile_layout = acpf.compile_layout
 
-    def counting(network, layout):
-        if not isinstance(layout, acpf.Layout):
-            compiled.append(len(layout))
-        return compile_layout(network, layout)
+    def counting(network, kinds):
+        if not isinstance(kinds, acpf.Layout):
+            compiled.append(len(kinds))
+        return compile_layout(network, kinds)
 
     def receiving(solver):
-        def call(*args, layout=None, **kwargs):
-            handed.append(layout)
-            return solver(*args, layout=layout, **kwargs)
+        def call(network, z, *args, **kwargs):
+            handed.append(z.kinds)
+            return solver(network, z, *args, **kwargs)
         return call
 
     for module in (acpf, wls, sens, train):
@@ -313,20 +313,24 @@ def watch_layouts(monkeypatch):
 
 def test_gradient_pass_compiles_its_layout_once(case5, monkeypatch):
     rng = np.random.default_rng(15)
-    records = [make_record(case5, rng, noise_std=2e-3, index=i) for i in range(6)]
-    w = default_initial_weights(records[0].z.kinds)
+    # permuted rows, a plain tuple: every record's kinds need compiling
+    canonical = canonical_kinds(case5)
+    kinds = tuple(canonical[i] for i in rng.permutation(len(canonical)))
+    records = [make_record(case5, rng, noise_std=2e-3, index=i, kinds=kinds) for i in range(6)]
+    w = default_initial_weights(kinds)
     expected = accumulate_gradient(case5, records, w)
     compiled, handed = watch_layouts(monkeypatch)
     grad = accumulate_gradient(case5, records, w)
     assert np.array_equal(grad, expected)
-    assert compiled == [len(records[0].z.kinds)]
+    assert compiled == [len(kinds)]
     assert len(handed) == 2 * len(records)
-    assert isinstance(handed[0], acpf.Layout) and all(layout is handed[0] for layout in handed)
+    assert isinstance(handed[0], acpf.Layout) and handed[0] == kinds
+    assert all(layout is handed[0] for layout in handed)
 
 
 def test_training_job_compiles_its_layout_once(case5, monkeypatch):
-    # equal to the canonical kinds but another tuple, as a dataset read from
-    # a file holds them, so no per-topology cache serves it
+    # equal to the canonical kinds but a plain tuple, compiled once to the
+    # canonical layout
     kinds = tuple(list(canonical_kinds(case5)))
     assert kinds == canonical_kinds(case5) and kinds is not canonical_kinds(case5)
     rng = np.random.default_rng(15)
@@ -338,7 +342,7 @@ def test_training_job_compiles_its_layout_once(case5, monkeypatch):
     assert np.array_equal(w, expected)
     assert compiled == [len(kinds)]
     assert len(handed) == 2 * len(records) * config.max_iter
-    assert isinstance(handed[0], acpf.Layout) and all(layout is handed[0] for layout in handed)
+    assert all(layout is canonical_kinds(case5) for layout in handed)
 
 
 def test_full_batch_training_is_deterministic(case5):

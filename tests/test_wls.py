@@ -246,27 +246,34 @@ def test_nonconvergence_flagged_not_raised(two_bus):
 @pytest.mark.parametrize("solver", ["wls_restore", "solution_sensitivity"])
 def test_each_solve_compiles_its_layout_once(case14, monkeypatch, solver):
     rng = np.random.default_rng(31)
-    kinds = canonical_kinds(case14)
-    values = eval_h(case14, perturbed_state(case14, rng), kinds)
-    z = MeasurementSet(kinds, values + 1e-3 * rng.standard_normal(len(kinds)))
-    weights = np.ones(len(kinds))
-    x_r = wls_restore(case14, z, weights).state
+    canonical = canonical_kinds(case14)
+    values = eval_h(case14, perturbed_state(case14, rng), canonical)
+    values = values + 1e-3 * rng.standard_normal(len(canonical))
+    weights = np.ones(len(canonical))
+    x_r = wls_restore(case14, MeasurementSet(canonical, values), weights).state
 
-    compiled = []
+    compiled, used = [], []
     compile_layout = acpf.compile_layout
 
-    def counting(network, layout):
-        if not isinstance(layout, acpf.Layout):
-            compiled.append(len(layout))
-        return compile_layout(network, layout)
+    def counting(network, kinds):
+        if not isinstance(kinds, acpf.Layout):
+            compiled.append(len(kinds))
+        used.append(compile_layout(network, kinds))
+        return used[-1]
 
     for module in (acpf, wls, sens):
         monkeypatch.setattr(module, "compile_layout", counting)
-    if solver == "wls_restore":
-        wls_restore(case14, z, weights)
-    else:
-        solution_sensitivity(case14, z, weights, x_r)
-    assert compiled == [len(kinds)]
+    # the compiled canonical kinds, and a plain tuple equal to them
+    for kinds in (canonical, tuple(canonical)):
+        compiled.clear()
+        used.clear()
+        z = MeasurementSet(kinds, values)
+        if solver == "wls_restore":
+            wls_restore(case14, z, weights)
+        else:
+            solution_sensitivity(case14, z, weights, x_r)
+        assert compiled == ([] if kinds is canonical else [len(kinds)])
+        assert used and all(layout is canonical for layout in used)
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +335,25 @@ def test_gauss_newton_iterations_match_dense_reference(name, request, monkeypatc
 
 
 @pytest.mark.parametrize("solver", ["wls_restore", "solution_sensitivity"])
-def test_given_layout_must_belong_to_z_and_network(case5, case14, solver):
+def test_compiled_or_plain_kinds_give_identical_results(case5, solver):
     rng = np.random.default_rng(47)
-    kinds = canonical_kinds(case5)
-    z = MeasurementSet(kinds, eval_h(case5, perturbed_state(case5, rng), kinds))
-    weights = np.full(z.m, 1e3)
-    x_r = wls_restore(case5, z, weights).state
-
-    def run(layout):
-        if solver == "wls_restore":
-            return wls_restore(case5, z, weights, layout=layout).state.as_vector()
-        return solution_sensitivity(case5, z, weights, x_r, layout=layout)
-
-    assert np.array_equal(run(acpf.compile_layout(case5, kinds)), run(None))
-    swapped = list(kinds)
+    state = perturbed_state(case5, rng)
+    canonical = canonical_kinds(case5)
+    swapped = list(canonical)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    with pytest.raises(acpf.MeasurementError, match="other measurement kinds"):
-        run(acpf.compile_layout(case5, swapped))
-    with pytest.raises(acpf.MeasurementError, match="other measurement kinds"):
-        run(acpf.compile_layout(case5, kinds[:-1]))
-    with pytest.raises(acpf.MeasurementError, match="layout for 14 buses"):
-        run(acpf.compile_layout(case14, canonical_kinds(case14)))
+    for kinds in (canonical, swapped, canonical[:-1]):
+        values = eval_h(case5, state, kinds)
+        weights = np.full(len(kinds), 1e3)
+        layout = acpf.compile_layout(case5, kinds)
+
+        def run(given):
+            z = MeasurementSet(given, values)
+            x_r = wls_restore(case5, z, weights).state
+            if solver == "wls_restore":
+                return x_r.as_vector()
+            return solution_sensitivity(case5, z, weights, x_r)
+
+        assert np.array_equal(run(layout), run(tuple(kinds)))
 
 
 # ---------------------------------------------------------------------------
