@@ -137,9 +137,15 @@ def layout_to_json(network: Network, kinds) -> list:
     return [kind_to_json(network, k) for k in kinds]
 
 
-def layout_from_json(network: Network, items) -> Layout:
-    """The layout's kinds, compiled (see `compile_layout`)."""
-    return compile_layout(network, [kind_from_json(network, item) for item in items])
+def layout_from_json(network: Network, items, path) -> Layout:
+    """The layout's kinds, compiled (see `compile_layout`); a FormatError
+    names the file `path` if items is not a list of valid JSON objects."""
+    try:
+        if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+            raise FormatError("layout is not a list of JSON objects")
+        return compile_layout(network, [kind_from_json(network, item) for item in items])
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +264,11 @@ def solution_to_measurements(network: Network, sol: SolutionFile) -> Measurement
         present["qinj"] = sol.q_inj
     if sol.flows is not None:
         present.update(zip(BRANCH_KINDS, np.asarray(sol.flows).T))
-    kinds = canonical_kinds(network)
-    if len(present) < len(ALL_KINDS):
-        kinds = compile_layout(network, [k for k in kinds if k.kind in present])
+    # kept per topology and families present (vm always, flows all or none)
+    canonical = canonical_kinds(network)
+    kinds = canonical if len(present) == len(ALL_KINDS) else network.per_topology(
+        ("solution_layout", tuple(present)),
+        lambda: compile_layout(network, [k for k in canonical if k.kind in present]))
     values = np.concatenate([present[name] for name in ALL_KINDS if name in present])
     return MeasurementSet(kinds, values)
 
@@ -296,7 +304,7 @@ def write_weights(path, network: Network, kinds, weights: np.ndarray):
 def read_weights(path, network: Network):
     payload = read_json(path, WEIGHTS_SCHEMA)
     check_network_hash(payload, network, path)
-    kinds = layout_from_json(network, require(payload, "layout", path))
+    kinds = layout_from_json(network, require(payload, "layout", path), path)
     values = require(payload, "values", path)
     try:
         values = check_weights(values, len(kinds))
@@ -385,7 +393,7 @@ def read_dataset(root, network: Network):
     manifest_path = os.path.join(root, "manifest.json")
     manifest = read_json(manifest_path, MANIFEST_SCHEMA)
     check_network_hash(manifest, network, root)
-    kinds = layout_from_json(network, require(manifest, "layout", manifest_path))
+    kinds = layout_from_json(network, require(manifest, "layout", manifest_path), manifest_path)
     records = [_read_record(os.path.join(root, name), network, kinds)
                for name in require(manifest, "records", manifest_path)]
     by_index = {rec.index: rec for rec in records}

@@ -24,11 +24,17 @@ bounds and writes the loads into them. The LPs it returns share the
 read-only matrix, costs and column bounds, the model's HiGHS form and
 solver, and that basis, from which they solve warm, in a few dual simplex
 iterations; every other LP solves cold, exactly as `linprog` would.
+
+write_lp_text exports an LP through HiGHS's own LP-format writer, which
+HiGHS's reader reads back to the same optimum: names have [ and ] as ( and
+), and a row with two finite sides becomes a lo/up pair of rows.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -110,45 +116,28 @@ class LinearProgram:
 
 
 def write_lp_text(lp: LinearProgram) -> str:
-    """Export in the plain text LP format understood by external solvers.
+    """The LP as HiGHS's LP-format writer gives it (see the module
+    docstring). It runs on a solver of its own, so no solve state changes;
+    a HiGHS error raises ValueError naming its status."""
+    # scipy.optimize loads on first use, as in _highs_form
+    from scipy.optimize._highspy import _core as highs
 
-    The format gives each row one relation, so a row with two different
-    finite sides raises ValueError.
-    """
-
-    def term(coef, name, first):
-        sign = "-" if coef < 0 else ("" if first else "+")
-        return f" {sign} {abs(coef):.12g} {name}".rstrip()
-
-    out = ["Minimize", " obj:"]
-    line = ""
-    for j, c in enumerate(lp.c_vec.tolist()):
-        if c != 0.0:
-            line += term(c, lp.var_names[j], line == "")
-    out.append(line or " 0 x0")
-    out.append("Subject To")
-    a_mat = lp.a_mat.sorted_indices()
-    for k, (lo, hi) in enumerate(zip(lp.row_lo.tolist(), lp.row_hi.tolist())):
-        if lo != hi and math.isfinite(lo) and math.isfinite(hi):
-            raise ValueError(f"row {lp.row_names[k]!r} has two finite sides")
-        rel, rhs = ("=", hi) if lo == hi else (">=", lo) if hi == math.inf else ("<=", hi)
-        span = slice(a_mat.indptr[k], a_mat.indptr[k + 1])
-        body = ""
-        for j, coef in zip(a_mat.indices[span].tolist(), a_mat.data[span].tolist()):
-            if coef != 0.0:
-                body += term(coef, lp.var_names[j], body == "")
-        line = f" {lp.row_names[k] or f'c{k}'}:"
-        out.append(line + (body or " 0 " + lp.var_names[0]) + f" {rel} {rhs:.12g}")
-    out.append("Bounds")
-    for name, lo, hi in zip(lp.var_names, lp.lower.tolist(), lp.upper.tolist()):
-        if lo == hi:
-            out.append(f" {name} = {lo:.12g}")
-        else:
-            lo_s = "-inf" if lo == -math.inf else f"{lo:.12g}"
-            hi_s = "+inf" if hi == math.inf else f"{hi:.12g}"
-            out.append(f" {lo_s} <= {name} <= {hi_s}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+    solver, a_mat, brackets = highs._Highs(), lp.a_mat, str.maketrans("[]", "()")
+    solver.setOptionValue("output_flag", False)
+    statuses = [solver.passModel(
+        lp.n_var, lp.n_row, a_mat.nnz, highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize,
+        0.0, lp.c_vec, lp.lower, lp.upper, lp.row_lo, lp.row_hi, a_mat.indptr.astype(np.int32),
+        a_mat.indices.astype(np.int32), a_mat.data,
+        np.full(lp.n_var, highs.HighsVarType.kContinuous, np.int32))]
+    for put, names in ((solver.passColName, lp.var_names), (solver.passRowName, lp.row_names)):
+        statuses += [put(k, name.translate(brackets)) for k, name in enumerate(names)]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "model.lp")
+        statuses.append(solver.writeModel(path))
+        if highs.HighsStatus.kError in statuses:
+            raise ValueError("HiGHS could not write the LP: status kError")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +550,10 @@ def _build_model(network: Network, n_cos_tangents, n_circle_cuts, n_cost_segment
     # apparent-power discs as tangent half-planes, both terminals
     rated = np.flatnonzero([br.s_max > 0.0 for br in branches])
     alphas = [2.0 * math.pi * k / n_circle_cuts for k in range(n_circle_cuts)]
-    ca = np.array([math.cos(alpha) for alpha in alphas])
-    sa = np.array([math.sin(alpha) for alpha in alphas])
+    # cos and sin at multiples of pi/2 leave ~1e-16 for an exact 0, which
+    # HiGHS would drop with a warning; zero them so the builder does
+    ca, sa = (np.array([trig(alpha) for alpha in alphas]) for trig in (math.cos, math.sin))
+    ca[abs(ca) < 1e-15] = sa[abs(sa) < 1e-15] = 0.0
     disc = 2 * n_circle_cuts * np.arange(rated.size)[:, None] + 2 * np.arange(n_circle_cuts)
     lp.rows(
         [(disc, pf_col[rated, None], ca), (disc, qf_col[rated, None], sa),

@@ -11,6 +11,7 @@ import pytest
 from acrestore.cli import main
 from acrestore import acpf, fileio
 from acrestore.acpf import MeasurementKind
+from acrestore.lpac import build_lpac
 from acrestore.netmodel import load_bundled_case
 import importlib.resources
 
@@ -62,8 +63,14 @@ def test_lpac_writes_solution_and_lp(case_path, tmp_path):
     assert run(
         "lpac", "--case", case_path, "--out", str(out), "--export-lp", str(lp_text)
     ) == 0
-    assert "Minimize" in lp_text.read_text()
+    from scipy.optimize._highspy import _core as highs
+
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    assert solver.readModel(str(lp_text)).name == "kOk"
     net = load_bundled_case("case5")
+    lp = build_lpac(net)
+    assert (solver.getNumRow(), solver.getNumCol()) == (lp.n_row, lp.n_var)
     sol = fileio.read_solution(out, net)
     assert sol.formulation == "lpac"
     assert sol.flows is not None
@@ -364,6 +371,28 @@ def test_restore_rejects_weights_of_another_layout(case_path, tmp_path, capsys):
     assert err.startswith("ERROR file-format:") and "weight layout" in err, err
 
 
+@pytest.mark.parametrize("layout,message", [
+    (["vm"], "layout is not a list of JSON objects"),
+    (5, "layout is not a list of JSON objects"),
+    ([{"bus": 1}], "unknown measurement kind None"),
+], ids=["string-entry", "number", "no-kind"])
+def test_malformed_weight_layout_is_a_file_format_error(case_path, tmp_path, capsys,
+                                                        layout, message):
+    pf_out = tmp_path / "pf.json"
+    run("pf", "--case", case_path, "--out", str(pf_out))
+    net = load_bundled_case("case5")
+    weights = tmp_path / "w.json"
+    kinds = acpf.canonical_kinds(net)
+    fileio.write_weights(weights, net, kinds, np.ones(len(kinds)))
+    payload = json.loads(weights.read_text())
+    weights.write_text(json.dumps({**payload, "layout": layout}))
+    capsys.readouterr()
+    assert run("restore", "--case", case_path, "--solution", str(pf_out),
+               "--weights", str(weights)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR file-format: {weights}: {message}"), err
+
+
 @pytest.mark.parametrize("method", ["raw", "benchmark", "wls"])
 def test_restore_single_file_matches_batch(case_path, tmp_path, method):
     sol_dir = tmp_path / "sols"
@@ -414,6 +443,29 @@ def test_eval_compiles_a_permuted_layout_once(tmp_path, monkeypatch):
     # and every record's restoration takes it from z.kinds
     calls = eval_compiles(tmp_path, monkeypatch, permuted=True)
     assert len(calls) == 1, calls
+
+
+def test_restore_compiles_a_partial_solution_layout_once(case_path, tmp_path, monkeypatch):
+    sol_dir = tmp_path / "sols"
+    sol_dir.mkdir()
+    run("pf", "--case", case_path, "--out", str(sol_dir / "pf.json"))
+    payload = json.loads((sol_dir / "pf.json").read_text())
+    for name in ("p_from", "q_from", "p_to", "q_to"):
+        payload["branch"][name] = None
+    for k in range(6):
+        (sol_dir / f"flowless{k}.json").write_text(json.dumps(payload))
+    (sol_dir / "pf.json").unlink()
+    calls = []
+    compile_ = acpf._compile
+
+    def counting(network, kinds):
+        calls.append(len(kinds))
+        return compile_(network, kinds)
+
+    monkeypatch.setattr(acpf, "_compile", counting)
+    assert run("restore", "--case", case_path, "--solutions", str(sol_dir)) == 0
+    # the canonical layout and the flowless one
+    assert len(calls) == 2, calls
 
 
 def test_bad_number_in_a_solution_file_is_a_file_format_error(case_path, tmp_path, capsys):

@@ -311,11 +311,37 @@ def test_constructed_lp_arrays_are_read_only():
             array[0] = 1
 
 
-def test_lp_text_refuses_a_ranged_row():
+def read_lp_text(text, tmp_path):
+    """HiGHS's reader run on LP text: its read status and the solver, which
+    has solved the model read."""
+    from scipy.optimize._highspy import _core as highs
+
+    path = tmp_path / "model.lp"
+    path.write_text(text)
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    status = solver.readModel(str(path))
+    solver.run()
+    return status.name, solver
+
+
+def test_lp_text_exports_a_ranged_row(tmp_path):
+    # 0.5 <= x - y <= 1, a row with two finite sides, which HiGHS writes as
+    # a pair of rows
+    ranged = dataclasses.replace(tight_lp(), row_lo=np.array([4.0, 0.5, -np.inf]))
+    text = write_lp_text(ranged)
+    assert "c1lo:" in text and "c1up:" in text
+    status, solver = read_lp_text(text, tmp_path)
+    assert status == "kOk" and solver.getNumRow() == ranged.n_row + 1
+    assert solver.getInfo().objective_function_value == pytest.approx(
+        simplex_solve(ranged).objective, rel=1e-12)
+
+
+def test_lp_text_names_a_highs_error():
+    # HiGHS refuses to write a name with a space in it
     lp = tight_lp()
-    ranged = dataclasses.replace(lp, row_lo=np.array([4.0, 0.0, -np.inf]))
-    with pytest.raises(ValueError, match="two finite sides"):
-        write_lp_text(ranged)
+    with pytest.raises(ValueError, match="kError"):
+        write_lp_text(dataclasses.replace(lp, var_names=("x 0", "x1")))
 
 
 def test_certificate_accepts_optimum():
@@ -552,6 +578,24 @@ def test_lpac_certificate_on_former_defect_scenarios(case14, seed, index):
     assert cert["ok"], cert
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_model_stores_no_coefficient_highs_ignores(all_fixtures, name):
+    # HiGHS drops |a| <= 1e-9 with a warning; cos and sin at multiples of
+    # pi/2 left ~1e-16 in the disc cuts
+    from scipy.optimize._highspy import _core as highs
+
+    lp = build_lpac(all_fixtures[name])
+    assert abs(lp.a_mat.data).min() > 1e-9
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    passed = solver.passModel(
+        lp.n_var, lp.n_row, lp.a_mat.nnz, highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize,
+        0.0, lp.c_vec, lp.lower, lp.upper, lp.row_lo, lp.row_hi,
+        lp.a_mat.indptr.astype(np.int32), lp.a_mat.indices.astype(np.int32), lp.a_mat.data,
+        np.zeros(lp.n_var, np.int32))
+    assert passed.name == "kOk"
+
+
 @pytest.mark.parametrize(
     "name,index",
     [("case57", None), ("case57", 0), ("case57", 3), ("case57", 9),
@@ -630,14 +674,15 @@ def test_measurement_packing_flat_deviation(two_bus):
     assert z.values[:2] == pytest.approx([1.0, 1.0])
 
 
-def test_lp_text_export_roundtrips_through_reference(case5):
-    lp = build_lpac(case5, 5, 4, 3)
-    text = write_lp_text(lp)
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-    # reference solve of the same model object stays consistent
-    ref = linprog_reference(lp)
-    mine = simplex_solve(lp)
-    assert mine.objective == pytest.approx(ref.fun, rel=1e-6)
+def test_lp_text_export_roundtrips_through_reference(all_fixtures, tmp_path):
+    for name in FIXTURE_NAMES:
+        lp = build_lpac(all_fixtures[name])
+        status, solver = read_lp_text(write_lp_text(lp), tmp_path)
+        assert status == "kOk", name
+        assert (solver.getNumRow(), solver.getNumCol()) == (lp.n_row, lp.n_var)
+        assert solver.getModelStatus().name == "kOptimal"
+        assert solver.getInfo().objective_function_value == pytest.approx(
+            simplex_solve(lp).objective, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
